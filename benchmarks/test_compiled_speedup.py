@@ -1,156 +1,32 @@
-"""Compiled-backend speedup: fused kernels against the vectorized sweeps.
+"""The deprecated ``backend="compiled"`` alias still solves correctly.
 
-The vectorized backend replays the simulator's multiply-accumulate order
-with one NumPy pass per diagonal band plus gather/scatter index tensors.
-The compiled backend lowers the same geometry ahead of time into a
-single fused strided-view kernel (optionally Numba-jitted), eliminating
-the per-sweep Python dispatch and the gather tensors entirely — same
-values, bit for bit, at a fraction of the wall clock.
-
-Two layers, mirroring ``test_backend_speedup.py``:
-
-* a *smoke* check (always on, including ``--benchmark-disable``) proving
-  the compiled backend runs and agrees bit-for-bit with both others;
-* the wall-clock comparison on warm n=512..2048 mat-vecs, recording the
-  measured throughput into ``BENCH_pipeline.json`` (git-SHA keyed, so
-  re-runs update rather than duplicate).
-
-The speedup gates are size-dependent because the pure-NumPy fallback's
-floor is the strictly sequential per-row fold (``np.add.accumulate`` —
-the bit-identity contract forbids reassociating it): that body measures
-~1.8x at n=512, crosses 2x around n=1024 and reaches ~3x at n=2048,
-where the vectorized backend's gather tensors fall out of cache.  The
-hard >= 2x claim is therefore asserted at n=2048 (comfortably
-noise-proof in CI) with monotone regression floors below; the Numba
-body, when installed, clears every gate with a wide margin.
+The compiled kernels were folded into the ``vectorized`` engine, whose
+speed over ``simulate`` is gated by ``test_backend_speedup.py``.  What
+stays here is the smoke check (always on, including
+``--benchmark-disable``): a solve requested under the alias agrees
+bit-for-bit with the cycle-accurate simulator.
 """
 
 from __future__ import annotations
 
-import time
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from repro.analysis.trajectory import record_trajectory_point
 from repro.api import ArraySpec, ExecutionOptions, Solver
-from repro.compiled import numba_enabled
-
-W = 8
-REPS = 5
-
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_pipeline.json"
-
-
-def _solver(w: int, backend: str) -> Solver:
-    return Solver(ArraySpec(w=w), options=ExecutionOptions(backend=backend))
-
-
-def _best_of(callable_, repeats: int = REPS) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        callable_()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def test_compiled_agrees_smoke(rng):
-    """Compiled solves match simulate and vectorized (runs in CI smoke)."""
+    """Solves under the ``compiled`` alias match simulate bit for bit."""
     w = 4
     a = rng.normal(size=(24, 17))
     x = rng.normal(size=17)
     b = rng.normal(size=24)
-    simulated = _solver(w, "simulate").solve("matvec", a, x, b)
-    compiled = _solver(w, "compiled").solve("matvec", a, x, b)
+    simulated = Solver(
+        ArraySpec(w=w), options=ExecutionOptions(backend="simulate")
+    ).solve("matvec", a, x, b)
+    with pytest.warns(DeprecationWarning, match="compiled"):
+        options = ExecutionOptions(backend="compiled")
+    compiled = Solver(ArraySpec(w=w), options=options).solve("matvec", a, x, b)
     assert np.array_equal(compiled.values, simulated.values)
     assert compiled.measured_steps == simulated.measured_steps
     assert compiled.measured_utilization == simulated.measured_utilization
-
-
-#: size -> minimum warm speedup over the vectorized backend.  2x is the
-#: headline claim; the smaller sizes gate against regressions of the
-#: pure-NumPy fallback, whose sequential-fold floor caps them below 2x.
-SPEEDUP_FLOORS = {512: 1.3, 1024: 1.6, 2048: 2.0}
-
-
-@pytest.mark.parametrize("n", sorted(SPEEDUP_FLOORS))
-def test_compiled_speedup_on_large_matvec(request, rng, show_report, n):
-    """Warm n>=512 mat-vec: compiled kernel beats vectorized, same values."""
-    if request.config.getoption("--benchmark-disable"):
-        pytest.skip("smoke mode: timing comparison disabled")
-    from repro.analysis.report import ExperimentReport
-
-    floor = SPEEDUP_FLOORS[n]
-    m = n
-    a = rng.normal(size=(n, m))
-    x = rng.normal(size=m)
-    b = rng.normal(size=n)
-
-    vectorize = _solver(W, "vectorized")
-    compile_ = _solver(W, "compiled")
-
-    # Warm both plan caches (and the compiled kernel cache) so only
-    # execution is measured.
-    vectorize.plan("matvec", shape=(n, m))
-    compile_.plan("matvec", shape=(n, m))
-    compile_.solve("matvec", a, x, b)
-
-    vectorized_holder = []
-    vectorize_time = _best_of(
-        lambda: vectorized_holder.append(vectorize.solve("matvec", a, x, b))
-    )
-    compiled_holder = []
-    compile_time = _best_of(
-        lambda: compiled_holder.append(compile_.solve("matvec", a, x, b))
-    )
-
-    assert np.array_equal(compiled_holder[0].values,
-                          vectorized_holder[0].values)
-    assert (compiled_holder[0].measured_steps
-            == vectorized_holder[0].measured_steps)
-    speedup = vectorize_time / compile_time
-    assert speedup >= floor, (
-        f"compiled backend only {speedup:.2f}x faster at n={n} "
-        f"(floor {floor}x; vectorized {vectorize_time * 1e3:.2f} ms, "
-        f"compiled {compile_time * 1e3:.2f} ms)"
-    )
-
-    record_trajectory_point(
-        BENCH_PATH,
-        {
-            "benchmark": f"compiled_speedup_n{n}",
-            "unix_time": time.time(),
-            "workload": {"kind": "matvec", "n": n, "m": m, "w": W,
-                         "reps": REPS},
-            "numba": numba_enabled(),
-            "vectorized": {"seconds": vectorize_time},
-            "compiled": {"seconds": compile_time},
-            "speedup": speedup,
-            "floor": floor,
-        },
-    )
-
-    report = ExperimentReport(
-        experiment=f"compiled speedup: n={n} matvec, warm plans",
-        description=(
-            f"n=m={n}, w={W}; best of {REPS}; "
-            f"numba={'on' if numba_enabled() else 'off'}"
-        ),
-    )
-    report.add(
-        f"speedup >= {floor}x",
-        1,
-        int(speedup >= floor),
-        note=(
-            f"vectorized {vectorize_time * 1e3:.2f} ms, compiled "
-            f"{compile_time * 1e3:.2f} ms, speedup {speedup:.2f}x"
-        ),
-    )
-    report.add(
-        "identical values", 1,
-        int(np.array_equal(compiled_holder[0].values,
-                           vectorized_holder[0].values)),
-    )
-    show_report(report)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..backends.registry import AUTO_BACKEND, get_backend
+from ..backends.registry import AUTO_BACKEND, canonical_backend_name, get_backend
 from ..errors import ArraySizeError
 from ..iterative.criteria import ConvergenceCriteria
 from ..matrices.padding import validate_array_size
@@ -65,14 +65,10 @@ class ExecutionOptions:
         Execution engine streaming values through a compiled plan (all
         kinds): ``"simulate"`` for the cycle-accurate simulators,
         ``"vectorized"`` for the NumPy diagonal-sweep engines (identical
-        values and metrics, no cycle-level artifacts), ``"compiled"``
-        for the ahead-of-time lowered fused kernels of
-        :mod:`repro.compiled` (same bit-identity contract, optional
-        Numba acceleration, epilogue fusion at graph-compile time), or
-        ``"auto"`` (the default) which picks the vectorized engine
-        unless a data-flow trace is requested — never ``compiled``;
-        promoting the compiled backend to the default is deliberately
-        left as its own future change.
+        values and metrics, no cycle-level artifacts), or ``"auto"`` (the
+        default): ``simulate`` iff a data-flow trace is requested, else
+        ``vectorized``.  ``"compiled"`` is a deprecated alias, normalized
+        to ``"vectorized"`` with a :class:`DeprecationWarning`.
     record_trace
         Record the cycle-by-cycle data-flow trace (matvec; forces the
         simulator backend under ``backend="auto"``).
@@ -117,6 +113,9 @@ class ExecutionOptions:
     dtype_mode: str = "float64"
 
     def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "backend", canonical_backend_name(self.backend, stacklevel=3)
+        )
         if self.backend != AUTO_BACKEND:
             get_backend(self.backend)  # raises BackendError for unknown names
         if self.sparse_tolerance < 0.0:

@@ -612,8 +612,3 @@ for _handler_class in (
 # register themselves on import, exactly like the handlers above; pulling
 # the module in here keeps "import repro.api" sufficient for every kind.
 from ..nn import handlers as _nn_handlers  # noqa: E402,F401
-
-# The fused-chain kind registers the same way: the graph compiler only
-# *creates* fused stages, but a persisted fused plan must re-resolve its
-# handler at load time through the ordinary registry path.
-from ..compiled import fusion as _compiled_fusion  # noqa: E402,F401

@@ -8,12 +8,14 @@ stream values through a compiled plan:
   (cycle-accurate; the only backend that records data-flow traces);
 * ``vectorized`` — NumPy diagonal-sweep engines that replay the same MAC
   order without per-cycle state (bit-identical values and metrics,
-  orders of magnitude faster on large problems);
+  orders of magnitude faster on large problems; optional Numba kernel
+  bodies);
 * ``auto`` — the resolution rule: vectorized for values, simulator when
   a trace is requested.
 
-See :mod:`repro.backends.registry` for the registry and
-:mod:`repro.backends.vectorized` for the sweep engines.
+See :mod:`repro.backends.registry` for the registry,
+:mod:`repro.backends.vectorized` for the sweep engines and
+:mod:`repro.backends.kernels` for their numeric kernel bodies.
 """
 
 from .registry import (

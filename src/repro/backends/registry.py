@@ -6,36 +6,30 @@ The package can *execute* a compiled plan in more than one way:
     The register-level / cycle-faithful simulators in
     :mod:`repro.systolic`.  Authoritative for anything cycle-level —
     data-flow traces, output streams, per-cell activity — and the
-    reference the other backends are checked against.
+    reference the fast engine is checked against.
 
 ``vectorized``
     The NumPy diagonal-sweep engines in
     :mod:`repro.backends.vectorized`.  They replay the *same* sequence
-    of multiply-accumulates each array cell would perform — one shifted
-    multiply/add sweep per band diagonal, partial results carried
-    between sweeps exactly as the feedback hardware carries them — so
-    the recovered values are bit-identical to the simulator's, and the
-    step/utilization metrics are produced from the same structural
-    quantities.  No per-cycle state is kept, which makes large-``N``
-    solves orders of magnitude faster.
-
-``compiled``
-    The ahead-of-time lowered kernels in :mod:`repro.compiled`.  Every
-    cached plan is a perfect compilation unit — the gather/feedback
-    schedule depends only on ``(kind, shapes, w, options)`` — so the
-    compiled backend lowers a plan's geometry once into fused
-    strided-view/einsum kernels (optionally Numba-jitted when Numba is
-    importable) that replay the simulator's exact fold order without the
-    vectorized backend's per-sweep Python loop.  Values and metrics stay
-    bit-identical to both other backends.
+    of multiply-accumulates each array cell would perform — on the
+    linear array one lane-rotated multiply and one sequential prefix-sum
+    fold per row (optionally a Numba body, see
+    :mod:`repro.backends.kernels`), on the hexagonal array a few
+    fancy-indexed folds per chain depth — so the recovered values are
+    bit-identical to the simulator's, and the step/utilization metrics
+    are produced from the same structural quantities.  No per-cycle
+    state is kept, which makes large-``N`` solves orders of magnitude
+    faster.
 
 ``auto``
-    Resolution rule, not an engine: ``vectorized`` when only values and
-    metrics are needed, ``simulate`` when a cycle-level artifact (a
-    data-flow trace) was requested.  ``auto`` deliberately does *not*
-    resolve to ``compiled`` yet: the compiled backend is explicit opt-in
-    (``backend="compiled"``) until it is soak-proven, at which point the
-    rule flips in one place here.
+    Resolution rule, not an engine: ``simulate`` when a cycle-level
+    artifact (a data-flow trace) was requested, ``vectorized``
+    otherwise.
+
+The former ``compiled`` engine's kernels now *are* ``vectorized``:
+``"compiled"`` is still accepted for one release as a deprecated alias
+(:func:`canonical_backend_name` normalizes it, with a
+:class:`DeprecationWarning`), but it is not a registered engine.
 
 Backends are registered as :class:`BackendSpec` descriptors so that new
 engines (a GPU sweep, a distributed executor) plug in without touching
@@ -46,6 +40,7 @@ from __future__ import annotations
 
 import difflib
 import threading
+import warnings
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -56,10 +51,10 @@ __all__ = [
     "AUTO_BACKEND",
     "SIMULATE",
     "VECTORIZED",
-    "COMPILED",
     "register_backend",
     "get_backend",
     "available_backends",
+    "canonical_backend_name",
     "resolve_backend",
 ]
 
@@ -69,8 +64,6 @@ AUTO_BACKEND = "auto"
 SIMULATE = "simulate"
 #: Name of the NumPy diagonal-sweep backend.
 VECTORIZED = "vectorized"
-#: Name of the ahead-of-time lowered kernel backend.
-COMPILED = "compiled"
 
 
 @dataclass(frozen=True)
@@ -128,6 +121,24 @@ def available_backends() -> Tuple[str, ...]:
         return tuple(sorted(_REGISTRY))
 
 
+#: Deprecated backend names still accepted, and the engine each now means.
+_ALIASES = {"compiled": VECTORIZED}
+
+
+def canonical_backend_name(name: str, stacklevel: int = 2) -> str:
+    """``name``, or the engine a deprecated alias stands for (with a warning)."""
+    target = _ALIASES.get(name)
+    if target is None:
+        return name
+    warnings.warn(
+        f"backend={name!r} is deprecated: its kernels are now the "
+        f"{target!r} backend; use backend={target!r} or {AUTO_BACKEND!r}",
+        DeprecationWarning,
+        stacklevel=stacklevel + 1,
+    )
+    return target
+
+
 def resolve_backend(name: str = AUTO_BACKEND, record_trace: bool = False) -> str:
     """Resolve a requested backend name into a concrete engine name.
 
@@ -139,7 +150,7 @@ def resolve_backend(name: str = AUTO_BACKEND, record_trace: bool = False) -> str
     """
     if name == AUTO_BACKEND:
         return SIMULATE if record_trace else VECTORIZED
-    spec = get_backend(name)
+    spec = get_backend(canonical_backend_name(name, stacklevel=3))
     if record_trace and not spec.supports_trace:
         raise BackendError(
             f"backend {name!r} cannot record a data-flow trace; use "
@@ -160,16 +171,6 @@ register_backend(
     BackendSpec(
         name=VECTORIZED,
         description="NumPy diagonal-sweep engines (bit-identical values, no cycle state)",
-        supports_trace=False,
-    )
-)
-register_backend(
-    BackendSpec(
-        name=COMPILED,
-        description=(
-            "ahead-of-time lowered sweep kernels with cross-stage fusion "
-            "(bit-identical values, optional Numba specialization)"
-        ),
         supports_trace=False,
     )
 )

@@ -10,9 +10,10 @@ all others.  The engines here exploit that:
   one original (padded) row ``i`` — upper triangle of pass ``s``, lower
   triangle of pass ``s``, upper triangle of pass ``s + 1``, ... — visits
   the padded columns *cyclically starting at* ``i mod w``.  So the whole
-  execution is ``M_pad`` shifted multiply/add sweeps over the padded
-  operands, with a snapshot after every ``w`` sweeps reproducing the
-  band-row outputs (the values the simulator's feedback registers carry).
+  execution is one lane-rotated multiply of the padded operands and one
+  sequential prefix-sum fold per row (:mod:`repro.backends.kernels`),
+  with the snapshot after every ``w`` terms reproducing the band-row
+  outputs (the values the simulator's feedback registers carry).
   Because each row folds its terms in exactly the simulator's cell order,
   the results are bit-identical, signed zeros included.
 
@@ -37,16 +38,17 @@ request ``backend="simulate"`` for those.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..matrices.banded import BandMatrix
-from ..matrices.padding import pad_matrix, pad_vector
+from ..matrices.padding import pad_matrix
 from ..systolic.hex_array import HexRunResult
 from ..systolic.linear_array import LinearRunResult
 from ..systolic.metrics import UtilizationReport
 from ..systolic.stream import DataStream
+from .kernels import float_linear_sweep, int_linear_sweep
 
 __all__ = [
     "LinearSweepPlan",
@@ -81,10 +83,11 @@ def linear_total_cycles(w: int, band_rows: int, offset: int = 0) -> int:
 class LinearSweepPlan:
     """Value-independent skeleton of the diagonal-sweep mat-vec execution.
 
-    Precomputes the cyclic column order (row ``i`` of the padded problem
-    consumes padded columns ``i mod w, i mod w + 1, ...`` wrapping modulo
-    ``M_pad``) plus the structural metric ingredients.  :meth:`sweep`
-    only streams values.
+    Holds only geometry (row ``i`` of the padded problem consumes padded
+    columns ``i mod w, i mod w + 1, ...`` wrapping modulo ``M_pad``) and
+    the structural metric ingredients; :meth:`sweep` and
+    :meth:`int_sweep` stream values through the lane-rotated kernels of
+    :mod:`repro.backends.kernels`.
     """
 
     def __init__(self, w: int, n: int, m: int, n_bar: int, m_bar: int,
@@ -97,11 +100,6 @@ class LinearSweepPlan:
         self._n_pad = self._n_bar * self._w
         self._m_pad = self._m_bar * self._w
         self._band_rows = self._n_bar * self._m_bar * self._w
-        start = np.arange(self._n_pad) % self._w
-        self._col_idx = (
-            start[:, None] + np.arange(self._m_pad)[None, :]
-        ) % self._m_pad
-        self._row_idx = np.arange(self._n_pad)[:, None]
         self._useful = int(useful_operations)
         self._events_cache: Dict[int, List[Tuple[int, int, int]]] = {}
 
@@ -133,17 +131,24 @@ class LinearSweepPlan:
         """
         events = self._events_cache.get(offset)
         if events is None:
-            alpha = _linear_alpha(self._w)
-            events = []
-            for k in range(self._n_bar * self._m_bar):
-                if k % self._m_bar == 0:
-                    continue
-                for a in range(self._w):
-                    row = k * self._w + a
-                    pop = 2 * row + alpha + offset
-                    events.append((row, pop - self._w, pop))
+            blocks = np.arange(self._n_bar * self._m_bar)
+            rows = (
+                blocks[blocks % self._m_bar != 0, None] * self._w
+                + np.arange(self._w)
+            ).ravel()
+            pops = 2 * rows + _linear_alpha(self._w) + offset
+            events = list(
+                zip(rows.tolist(), (pops - self._w).tolist(), pops.tolist())
+            )
             self._events_cache[offset] = events
         return events
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The memoized event lists are O(band rows) and rebuilt on first
+        # use, so pickled plans (plan-store artifacts) carry geometry only.
+        state = dict(self.__dict__)
+        state["_events_cache"] = {}
+        return state
 
     # -- value streaming --------------------------------------------------------
     def sweep(
@@ -152,30 +157,20 @@ class LinearSweepPlan:
         x: np.ndarray,
         b: Optional[np.ndarray],
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Run the ``M_pad`` shifted multiply/add sweeps for one operand set.
+        """Run the float sweep for one operand set.
 
         Returns ``(band_outputs, y_padded)``: the per-band-row outputs (one
         partial snapshot per pass, ordered exactly like the simulator's
         ``y_per_problem`` entries) and the final padded result vector.
         """
-        w = self._w
-        a_pad = pad_matrix(matrix, w)
-        x_pad = pad_vector(x, w)
-        b_pad = pad_vector(b if b is not None else np.zeros(self._n), w)
-        cols = self._col_idx
-        products = a_pad[self._row_idx, cols] * x_pad[cols]
-        y = b_pad.copy()
-        partials = np.empty((self._m_bar, self._n_pad), dtype=float)
-        for t in range(self._m_pad):
-            y += products[:, t]
-            if (t + 1) % w == 0:
-                partials[(t + 1) // w - 1] = y
-        band_outputs = (
-            partials.reshape(self._m_bar, self._n_bar, w)
-            .transpose(1, 0, 2)
-            .reshape(-1)
+        return float_linear_sweep(
+            _padded(matrix, (self._n_pad, self._m_pad), np.float64),
+            _padded(x, (self._m_pad,), np.float64),
+            _padded(b, (self._n_pad,), np.float64),
+            self._w,
+            self._n_bar,
+            self._m_bar,
         )
-        return band_outputs, y
 
     def int_sweep(
         self,
@@ -185,15 +180,7 @@ class LinearSweepPlan:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Integer-datapath variant of :meth:`sweep` (int32-accumulate).
 
-        Integer addition is exactly associative, so the pass-by-pass
-        accumulation doesn't need the float path's cyclic gather and
-        timestep loop at all: every partial is a contiguous cyclic range
-        sum recoverable from one elementwise product and one row-wise
-        prefix sum (plus an O(N_pad * M_bar) snapshot gather) — the same
-        integers the simulator's cells accumulate, reached in O(n m)
-        straight-line arithmetic.  That is what makes the int8 path
-        faster than the float one rather than a dtype-recolored copy of
-        it.  Operands must be integer arrays (the caller quantizes and
+        Operands must be integer arrays (the caller quantizes and
         zero-point-shifts); the whole datapath runs in int32, the
         accumulator width of the quantized hardware.  The caller
         guarantees operands and true accumulators fit int32 — int8-range
@@ -207,40 +194,34 @@ class LinearSweepPlan:
                     f"int_sweep needs integer operands, got {name} of dtype "
                     f"{np.asarray(operand).dtype}"
                 )
-        a_pad = np.zeros((self._n_pad, self._m_pad), dtype=np.int32)
-        a_pad[: self._n, : self._m] = matrix
-        x_pad = np.zeros(self._m_pad, dtype=np.int32)
-        x_pad[: self._m] = x
-        b_pad = np.zeros(self._n_pad, dtype=np.int32)
-        if b is not None:
-            b_pad[: self._n] = b
-        # Row r consumes padded columns cyclically from s_r = r mod w, so
-        # after rotating each row's products left by s_r, pass j is just
-        # the contiguous column block [j w, (j+1) w): one blocked reduce
-        # plus a small prefix sum reproduces every snapshot.  Rows with
-        # equal s_r sit on a fixed lane of the (n_bar, w, M_pad) view,
-        # so the rotation is w - 1 contiguous copies, not a gather.
-        products = (a_pad * x_pad[None, :]).reshape(
-            self._n_bar, self._w, self._m_pad
+        matrix = np.asarray(matrix)
+        # The matrix keeps its own integer dtype (int8 weights need no
+        # upcast copy); the kernel's multiply produces int32.
+        return int_linear_sweep(
+            _padded(matrix, (self._n_pad, self._m_pad), matrix.dtype),
+            _padded(x, (self._m_pad,), np.int32),
+            _padded(b, (self._n_pad,), np.int32),
+            self._w,
+            self._n_bar,
+            self._m_bar,
         )
-        shifted = np.empty_like(products)
-        shifted[:, 0] = products[:, 0]
-        for lane in range(1, self._w):
-            shifted[:, lane, : -lane] = products[:, lane, lane:]
-            shifted[:, lane, -lane:] = products[:, lane, :lane]
-        pass_sums = shifted.reshape(self._n_pad, self._m_bar, self._w).sum(
-            axis=2, dtype=np.int32
-        )
-        partials = np.cumsum(pass_sums, axis=1, dtype=np.int32)
-        partials += b_pad[:, None]
-        y = partials[:, -1].copy()
-        band_outputs = (
-            partials.T.reshape(self._m_bar, self._n_bar, self._w)
-            .transpose(1, 0, 2)
-            .reshape(-1)
-            .copy()
-        )
-        return band_outputs, y
+
+
+def _padded(
+    values: Optional[np.ndarray], shape: Tuple[int, ...], dtype: Any
+) -> np.ndarray:
+    """``values`` zero-padded to ``shape`` as contiguous ``dtype``.
+
+    No copy when the operand is already aligned; zeros for ``None``.
+    """
+    if values is None:
+        return np.zeros(shape, dtype=dtype)
+    v = np.asarray(values, dtype=dtype)
+    if v.shape == shape:
+        return np.ascontiguousarray(v)
+    padded = np.zeros(shape, dtype=dtype)
+    padded[tuple(slice(0, size) for size in v.shape)] = v
+    return padded
 
 
 def build_linear_run(

@@ -25,7 +25,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..backends.registry import COMPILED, VECTORIZED, resolve_backend
+from ..backends.registry import VECTORIZED, resolve_backend
 from ..backends.vectorized import (
     full_band_block_matmul,
     full_band_block_matvec,
@@ -107,7 +107,7 @@ class NaiveBlockMatVec:
         for i in range(grid.block_rows):
             for j in range(grid.block_cols):
                 block = grid.block(i, j)
-                if self._backend in (VECTORIZED, COMPILED):
+                if self._backend == VECTORIZED:
                     partial = full_band_block_matvec(
                         block, x_padded[j * w : (j + 1) * w]
                     )
@@ -152,7 +152,7 @@ class NaiveBlockMatMul:
     def __init__(self, w: int, backend: str = "simulate"):
         self._w = validate_array_size(w)
         self._backend = resolve_backend(backend)
-        if self._backend in (VECTORIZED, COMPILED):
+        if self._backend == VECTORIZED:
             band = self._w - 1  # each dense block runs as a full band
             self._block_metrics = hex_structural_metrics(
                 self._w, self._w, band, band, self._w, self._w, band, band

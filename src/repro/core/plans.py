@@ -40,7 +40,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..backends.registry import COMPILED, SIMULATE, VECTORIZED, resolve_backend
+from ..backends.registry import SIMULATE, VECTORIZED, resolve_backend
 from ..backends.vectorized import HexSweepPlan, LinearSweepPlan, build_linear_run
 from ..errors import ShapeError
 from ..instrumentation import CacheStats, counters
@@ -184,19 +184,6 @@ class MatVecPlan:
                 m_bar=template.m_bar,
                 useful_operations=self._useful,
             )
-        elif self._backend == COMPILED:
-            # Lazy: the compiled subsystem is only pulled in when a
-            # compiled plan is actually built.
-            from ..compiled.lowering import lower_linear_plan
-
-            self._sweep = lower_linear_plan(
-                w=self._w,
-                n=self._n,
-                m=self._m,
-                n_bar=template.n_bar,
-                m_bar=template.m_bar,
-                useful_operations=self._useful,
-            )
 
     # -- geometry -----------------------------------------------------------------
     @property
@@ -209,7 +196,7 @@ class MatVecPlan:
 
     @property
     def backend(self) -> str:
-        """The resolved execution backend (``simulate``/``vectorized``/``compiled``)."""
+        """The resolved execution backend (``simulate`` or ``vectorized``)."""
         return self._backend
 
     @property
@@ -432,7 +419,7 @@ class OverlappedMatVecPlan:
         top_rows = self._partition.first_rows
         top_b = b[:top_rows] if b is not None else None
         bottom_b = b[top_rows:] if b is not None else None
-        if self._backend in (VECTORIZED, COMPILED):
+        if self._backend == VECTORIZED:
             top_outputs, top_y = self._top._sweep.sweep(
                 matrix[:top_rows, :], x, top_b
             )
@@ -544,13 +531,6 @@ class MatMulPlan:
         self._hex_sweep: Optional[HexSweepPlan] = None
         if self._backend == VECTORIZED:
             self._hex_sweep = HexSweepPlan(operands, self._placement, self._useful)
-        elif self._backend == COMPILED:
-            # The hexagonal skeleton is already a lowered straight-line
-            # program; the compiled backend adds geometry-keyed sharing
-            # of its (expensive) build.  Lazy import as in MatVecPlan.
-            from ..compiled.lowering import lower_hex_plan
-
-            self._hex_sweep = lower_hex_plan(operands, self._placement, self._useful)
 
     # -- geometry -----------------------------------------------------------------
     @property
@@ -564,7 +544,7 @@ class MatMulPlan:
 
     @property
     def backend(self) -> str:
-        """The resolved execution backend (``simulate``/``vectorized``/``compiled``)."""
+        """The resolved execution backend (``simulate`` or ``vectorized``)."""
         return self._backend
 
     @property

@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backends.registry import COMPILED, VECTORIZED, resolve_backend
+from ..backends.registry import VECTORIZED, resolve_backend
 from ..backends.vectorized import build_banded_linear_run
 from ..errors import TransformError
 from ..instrumentation import counters
@@ -389,10 +389,7 @@ class BlockSparseMatVec:
             y = np.zeros(matrix.shape[0]) if b is None else as_vector(b, "b").copy()
             return SparseMatVecSolution(y=y, w=self._w, transform=transform, run=None)
 
-        if self._backend in (VECTORIZED, COMPILED):
-            # The sparse band plan is value dependent (it follows the
-            # sparsity pattern), so there is nothing to lower ahead of
-            # time: the compiled backend shares the vectorized sweep.
+        if self._backend == VECTORIZED:
             run = self._sweep(transform, x, b)
         else:
             problem = LinearProblem(

@@ -203,9 +203,7 @@ class PipelineProgram:
     :meth:`run` any number of times.  ``pairs`` lists the stage-index
     pairs the compiler marked for shared overlapped execution;
     ``fused_rewrites`` counts matmul→matvec associativity rewrites the
-    compiler applied (only under ``fuse=True``); ``fused_epilogues``
-    counts head→epilogue chains collapsed into single ``fused`` stages
-    (value-exact; applied by default under the compiled backend).
+    compiler applied (only under ``fuse=True``).
     """
 
     def __init__(
@@ -215,7 +213,6 @@ class PipelineProgram:
         pairs: Tuple[Tuple[int, int], ...] = (),
         fused_rewrites: int = 0,
         compile_plan_builds: int = 0,
-        fused_epilogues: int = 0,
     ):
         self._stages = stages
         self._outputs = outputs
@@ -226,7 +223,6 @@ class PipelineProgram:
             self._pair_partner[second] = first
         self._fused_rewrites = int(fused_rewrites)
         self._compile_plan_builds = int(compile_plan_builds)
-        self._fused_epilogues = int(fused_epilogues)
         self._ran = False
 
     # -- introspection ----------------------------------------------------------------
@@ -249,8 +245,11 @@ class PipelineProgram:
 
     @property
     def fused_epilogues(self) -> int:
-        """Head→epilogue chains collapsed into single ``fused`` stages."""
-        return self._fused_epilogues
+        """Always 0: graphs run every epilogue as its own stage.
+
+        Kept for readers of the per-layer benchmark ladder.
+        """
+        return 0
 
     @property
     def compile_plan_builds(self) -> int:
@@ -317,8 +316,7 @@ class PipelineProgram:
                 f"PipelineProgram: {len(self._stages)} stage(s) over "
                 f"{self.n_levels} level(s), {unique_plans} distinct plan(s), "
                 f"{len(self._pairs)} overlapped pair(s), "
-                f"{self._fused_rewrites} fusion rewrite(s), "
-                f"{self._fused_epilogues} fused epilogue group(s)"
+                f"{self._fused_rewrites} fusion rewrite(s)"
             )
         ]
         partition = " | ".join(
@@ -448,7 +446,6 @@ class PipelineProgram:
             fused_rewrites=self._fused_rewrites,
             levels=tuple(stage.level for stage in self._stages),
             placements=tuple(placements),
-            fused_epilogues=self._fused_epilogues,
         )
 
 
@@ -494,8 +491,6 @@ class PipelineResult:
     fused_rewrites: int
     levels: Tuple[int, ...] = ()
     placements: Tuple[int, ...] = ()
-    #: Head→epilogue chains that executed as single ``fused`` stages.
-    fused_epilogues: int = 0
 
     @property
     def warm(self) -> bool:
@@ -600,8 +595,7 @@ class PipelineResult:
             ),
             (
                 f"  fusion:    {self.fused_pairs} overlapped pair(s), "
-                f"{self.fused_rewrites} matmul->matvec rewrite(s), "
-                f"{self.fused_epilogues} fused epilogue group(s)"
+                f"{self.fused_rewrites} matmul->matvec rewrite(s)"
             ),
         ]
         partition = " | ".join(

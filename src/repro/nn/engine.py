@@ -8,17 +8,14 @@ backend runs the cycle-accurate float engine on the integer operands —
 every intermediate is an exact integer far below 2^53, so casting the
 result to int32 loses nothing — while the vectorized backend runs the
 dedicated :meth:`~repro.backends.vectorized.LinearSweepPlan.int_sweep`
-int32-accumulate replay, and the compiled backend an exact-integer
-einsum over the lowered band geometry.  Exact integer arithmetic on all
-sides is what keeps the cross-backend bit-identity contract for the
-quantized kinds.
+int32-accumulate replay (one exact-integer einsum per pass).  Exact
+integer arithmetic on both sides is what keeps the cross-backend
+bit-identity contract for the quantized kinds.
 
 :class:`ElementwisePlan` covers the host epilogue stations (bias, relu,
 quantize, dequantize): O(n) casts and adds that a real accelerator fuses
-into the output path; they execute identically on every backend and
-report zero array steps.  Under the compiled backend the graph compiler
-additionally collapses whole head→epilogue chains into single ``fused``
-stages (:mod:`repro.compiled.fusion`) built from these same plans.
+into the output path; they execute identically on every backend, as
+their own pipeline stages, and report zero array steps.
 """
 
 from __future__ import annotations

@@ -49,8 +49,9 @@ MAGIC = b"RPROPLAN"
 
 #: Bump on any incompatible payload change.  Readers reject every other
 #: version (newer *or* older) — a version skew is a recompile, never a
-#: best-effort parse of bytes written by different code.
-FORMAT_VERSION = 1
+#: best-effort parse of bytes written by different code.  Version 2:
+#: the linear sweep skeleton holds geometry only (no gather tensors).
+FORMAT_VERSION = 2
 
 _VERSION_STRUCT = struct.Struct(">I")
 _CHECKSUM_SIZE = 16

@@ -1,20 +1,10 @@
-"""The compiled backend: lowered kernels, kernel cache, epilogue fusion.
+"""The deprecated ``backend="compiled"`` alias and the plan store.
 
-Three layers of contract:
-
-* **kernels** — :class:`~repro.compiled.lowering.CompiledLinearPlan`
-  must be bit-identical to the vectorized
-  :class:`~repro.backends.vectorized.LinearSweepPlan` it replaces, for
-  the float sweep and the int8 sweep alike, across a (w, shape) grid;
-* **cache** — lowering is memoized per geometry in a thread-safe LRU
-  whose stats are observable;
-* **fusion** — head→epilogue chains collapse into single fused stages
-  with values bit-identical to the unfused pipeline, and the rewrite
-  refuses every unsafe shape (multi-consumer heads, per-node options,
-  intermediate outputs);
-
-plus persistence: compiled and fused plans round-trip through
-:class:`~repro.store.PlanStore` and fail open to recompilation.
+``compiled`` is a one-cycle alias normalized to ``vectorized`` (with a
+:class:`DeprecationWarning`); the kernels it used to select now back the
+``vectorized`` engine.  Plans requested under the alias must still
+round-trip through :class:`~repro.store.PlanStore` and fail open to
+recompilation when an artifact is corrupt.
 """
 
 from __future__ import annotations
@@ -23,371 +13,14 @@ import numpy as np
 import pytest
 
 from repro.api import ArraySpec, ExecutionOptions, Solver
-from repro.backends.vectorized import LinearSweepPlan, build_linear_run
-from repro.compiled import (
-    CompiledLinearPlan,
-    KernelCache,
-    NUMBA_AVAILABLE,
-    NUMBA_DISABLE_ENV,
-    kernel_cache,
-    lower_linear_plan,
-    numba_enabled,
-)
-from repro.compiled.fusion import Fused, fuse_epilogue_chains
-from repro.graph import Graph, GraphCompiler
-from repro.nn import Bias, Dense, Dequantize, Quantize, Relu
 from repro.store import PlanStore
 
 
-def compiled_solver(w: int, **overrides) -> Solver:
-    return Solver(
-        ArraySpec(w=w),
-        options=ExecutionOptions(backend="compiled", **overrides),
-    )
-
-
-def geometry(w: int, n: int, m: int):
-    """(n_bar, m_bar) of the padded band geometry, as the plans compute it."""
-    n_bar = -(-n // w)
-    m_bar = -(-m // w)
-    return n_bar, m_bar
-
-
-SHAPES = [(1, 1), (3, 5), (7, 4), (16, 16), (33, 29)]
-
-
-class TestCompiledLinearKernels:
-    """The lowered sweeps against the vectorized reference, bit for bit."""
-
-    @pytest.mark.parametrize("w", [1, 2, 3, 4, 8])
-    @pytest.mark.parametrize("shape", SHAPES)
-    @pytest.mark.parametrize("with_b", [False, True])
-    def test_float_sweep_bit_identical(self, w, shape, with_b):
-        n, m = shape
-        n_bar, m_bar = geometry(w, n, m)
-        useful = n * m
-        reference = LinearSweepPlan(w, n, m, n_bar, m_bar, useful)
-        compiled = CompiledLinearPlan(w, n, m, n_bar, m_bar, useful)
-        rng = np.random.default_rng(n * 100 + m)
-        a = rng.standard_normal((n, m))
-        x = rng.standard_normal(m)
-        b = rng.standard_normal(n) if with_b else None
-        ref_bands, ref_y = reference.sweep(a, x, b)
-        got_bands, got_y = compiled.sweep(a, x, b)
-        assert np.array_equal(got_y, ref_y)
-        assert np.array_equal(got_bands, ref_bands)
-        assert got_y.dtype == ref_y.dtype
-        assert got_bands.dtype == ref_bands.dtype
-
-    @pytest.mark.parametrize("w", [1, 2, 3, 4, 8])
-    @pytest.mark.parametrize("shape", SHAPES)
-    def test_int_sweep_bit_identical(self, w, shape):
-        n, m = shape
-        n_bar, m_bar = geometry(w, n, m)
-        reference = LinearSweepPlan(w, n, m, n_bar, m_bar, n * m)
-        compiled = CompiledLinearPlan(w, n, m, n_bar, m_bar, n * m)
-        rng = np.random.default_rng(n * 100 + m + 7)
-        a = rng.integers(-128, 128, size=(n, m)).astype(np.int32)
-        x = rng.integers(-128, 128, size=m).astype(np.int32)
-        b = rng.integers(-1000, 1000, size=n).astype(np.int32)
-        for bias in (None, b):
-            ref_bands, ref_y = reference.int_sweep(a, x, bias)
-            got_bands, got_y = compiled.int_sweep(a, x, bias)
-            assert np.array_equal(got_y, ref_y)
-            assert np.array_equal(got_bands, ref_bands)
-            assert got_y.dtype == ref_y.dtype
-
-    def test_int_sweep_rejects_float_operands(self):
-        plan = CompiledLinearPlan(2, 4, 4, 2, 2, 16)
-        with pytest.raises(TypeError, match="integer operands"):
-            plan.int_sweep(np.ones((4, 4)), np.arange(4), None)
-
-    def test_structural_metrics_match_parent(self):
-        """Same geometry and metrics: build_linear_run works unchanged."""
-        reference = LinearSweepPlan(3, 7, 5, 3, 2, 35)
-        compiled = CompiledLinearPlan(3, 7, 5, 3, 2, 35)
-        assert compiled.band_rows == reference.band_rows
-        assert compiled.mac_operations == reference.mac_operations
-        assert compiled.useful_operations == reference.useful_operations
-        assert compiled.feedback_events(0) == reference.feedback_events(0)
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((7, 5))
-        x = rng.standard_normal(5)
-        bands, _y = compiled.sweep(a, x, None)
-        run = build_linear_run(3, [compiled], [bands])
-        ref_bands, _ = reference.sweep(a, x, None)
-        ref_run = build_linear_run(3, [reference], [ref_bands])
-        assert run.total_cycles == ref_run.total_cycles
-
-    def test_compiled_plan_is_picklable(self):
-        import pickle
-
-        plan = lower_linear_plan(w=3, n=7, m=5, n_bar=3, m_bar=2,
-                                 useful_operations=35)
-        clone = pickle.loads(pickle.dumps(plan))
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((7, 5))
-        x = rng.standard_normal(5)
-        assert np.array_equal(clone.sweep(a, x, None)[1],
-                              plan.sweep(a, x, None)[1])
-
-
-class TestNumbaGating:
-    def test_numba_disable_env_vetoes(self, monkeypatch):
-        monkeypatch.setenv(NUMBA_DISABLE_ENV, "1")
-        assert not numba_enabled()
-        monkeypatch.setenv(NUMBA_DISABLE_ENV, "")
-        assert numba_enabled() == NUMBA_AVAILABLE
-
-    def test_numpy_fallback_always_works(self, monkeypatch):
-        """The pure-NumPy body must carry the full contract on its own."""
-        monkeypatch.setenv(NUMBA_DISABLE_ENV, "true")
-        plan = CompiledLinearPlan(4, 9, 9, 3, 3, 81)
-        reference = LinearSweepPlan(4, 9, 9, 3, 3, 81)
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((9, 9))
-        x = rng.standard_normal(9)
-        b = rng.standard_normal(9)
-        assert np.array_equal(plan.sweep(a, x, b)[1],
-                              reference.sweep(a, x, b)[1])
-
-    @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-    def test_numba_body_matches_numpy_body(self, monkeypatch):
-        """With Numba importable, both bodies must agree bit for bit."""
-        plan = CompiledLinearPlan(4, 17, 13, 5, 4, 17 * 13)
-        rng = np.random.default_rng(13)
-        a = rng.standard_normal((17, 13))
-        x = rng.standard_normal(13)
-        b = rng.standard_normal(17)
-        monkeypatch.setenv(NUMBA_DISABLE_ENV, "1")
-        numpy_bands, numpy_y = plan.sweep(a, x, b)
-        monkeypatch.setenv(NUMBA_DISABLE_ENV, "")
-        assert numba_enabled()
-        numba_bands, numba_y = plan.sweep(a, x, b)
-        assert np.array_equal(numba_y, numpy_y)
-        assert np.array_equal(numba_bands, numpy_bands)
-
-
-class TestKernelCache:
-    def test_lowering_is_memoized_per_geometry(self):
-        first = lower_linear_plan(w=3, n=8, m=6, n_bar=3, m_bar=2,
-                                  useful_operations=48)
-        second = lower_linear_plan(w=3, n=8, m=6, n_bar=3, m_bar=2,
-                                   useful_operations=48)
-        other = lower_linear_plan(w=3, n=8, m=7, n_bar=3, m_bar=3,
-                                  useful_operations=56)
-        assert first is second
-        assert other is not first
-        assert kernel_cache.stats.hits >= 1
-
-    def test_cache_stats_and_clear(self):
-        cache = KernelCache(maxsize=2)
-        built = []
-
-        def build(tag):
-            def factory():
-                built.append(tag)
-                return object()
-            return factory
-
-        a = cache.lowered(("k", 1), build("a"))
-        assert cache.lowered(("k", 1), build("a2")) is a
-        cache.lowered(("k", 2), build("b"))
-        cache.lowered(("k", 3), build("c"))  # evicts ("k", 1)
-        stats = cache.stats
-        assert stats.hits == 1 and stats.misses == 3
-        assert stats.evictions == 1 and stats.size == 2
-        assert built == ["a", "b", "c"]
-        cache.clear()
-        assert cache.stats.size == 0
-
-    def test_hex_lowering_shares_geometry(self, rng):
-        """Two independent solvers share one lowered matmul skeleton."""
-        a = rng.standard_normal((6, 5))
-        b = rng.standard_normal((5, 4))
-        compiled_solver(2).solve("matmul", a, b)
-        hits_after_first = kernel_cache.stats.hits
-        # A fresh solver cannot hit its own plan cache, so building the
-        # same-geometry plan again must reuse the process-wide kernel.
-        compiled_solver(2).solve("matmul", a, b)
-        assert kernel_cache.stats.hits > hits_after_first
-
-
-class TestEpilogueFusion:
-    """Graph-level fusion: value-exact, conservative, observable."""
-
-    N, M = 24, 20
-
-    def _operands(self, seed=0):
-        rng = np.random.default_rng(seed)
-        return (
-            rng.standard_normal((self.N, self.M)),
-            rng.standard_normal(self.M),
-            rng.standard_normal(self.N),
-        )
-
-    def _mlp(self, W, x, b):
-        d = Dense(W, x, name="dense")
-        return Graph(y=Relu(Bias(d, b, name="biased"), name="act"))
-
-    def test_float_chain_fuses_and_matches_unfused(self):
-        W, x, b = self._operands()
-        solver = compiled_solver(4)
-        program = GraphCompiler(solver).compile(self._mlp(W, x, b))
-        assert len(program.stages) == 1
-        assert program.fused_epilogues == 1
-        assert program.stages[0].kind == "fused"
-        result = program.run()
-        assert result.fused_epilogues == 1
-        solution = result.solutions[0]
-        assert solution.stats["fused_kinds"] == "dense+bias+relu"
-        assert solution.stats["fused_stages"] == 3
-
-        unfused = GraphCompiler(solver, fuse_epilogues=False).compile(
-            self._mlp(W, x, b)
-        )
-        assert len(unfused.stages) == 3 and unfused.fused_epilogues == 0
-        assert np.array_equal(result.values, unfused.run().values)
-
-    @pytest.mark.parametrize("backend", ["simulate", "vectorized"])
-    def test_fused_matches_other_backends(self, backend):
-        W, x, b = self._operands(1)
-        fused = GraphCompiler(compiled_solver(3)).compile(
-            self._mlp(W, x, b)
-        ).run()
-        reference = GraphCompiler(
-            Solver(ArraySpec(w=3), options=ExecutionOptions(backend=backend))
-        ).compile(self._mlp(W, x, b)).run()
-        assert np.array_equal(fused.values, reference.values)
-
-    def test_int8_datapath_fuses_whole_chain(self):
-        rng = np.random.default_rng(3)
-        Wq = rng.integers(-100, 100, size=(self.N, self.M)).astype(np.int8)
-        xq = rng.integers(-100, 100, size=self.M).astype(np.int8)
-        b = rng.standard_normal(self.N)
-
-        def graph():
-            d = Dense(Wq, xq, x_zero_point=2, dtype_mode="int8", name="dense")
-            chain = Quantize(
-                Relu(Bias(Dequantize(d, 0.03), b), name="act"), 0.1, 3,
-                name="codes",
-            )
-            return Graph(out=chain)
-
-        program = GraphCompiler(compiled_solver(4)).compile(graph())
-        assert len(program.stages) == 1 and program.fused_epilogues == 1
-        result = program.run()
-        solution = result.solutions[0]
-        assert solution.stats["fused_kinds"] == (
-            "dense+dequantize+bias+relu+quantize"
-        )
-        assert solution.stats["dtype_mode"] == "int8"
-        reference = GraphCompiler(
-            Solver(ArraySpec(w=4), options=ExecutionOptions(backend="simulate"))
-        ).compile(graph()).run()
-        assert result.values.dtype == np.int8
-        assert np.array_equal(result.values, reference.values)
-
-    def test_multi_consumer_head_does_not_fuse(self):
-        W, x, b = self._operands(4)
-
-        def graph():
-            d = Dense(W, x, name="dense")
-            return Graph(a=Relu(d, name="r"), c=Bias(d, b, name="bi"))
-
-        program = GraphCompiler(compiled_solver(3)).compile(graph())
-        assert program.fused_epilogues == 0 and len(program.stages) == 3
-        result = program.run()
-        reference = GraphCompiler(
-            Solver(ArraySpec(w=3), options=ExecutionOptions(backend="simulate"))
-        ).compile(graph()).run()
-        assert np.array_equal(result.output("a"), reference.output("a"))
-        assert np.array_equal(result.output("c"), reference.output("c"))
-
-    def test_intermediate_output_splits_chain(self):
-        """An observed intermediate becomes a fused tail, never invisible."""
-        W, x, b = self._operands(5)
-
-        def graph():
-            d = Dense(W, x, name="dense")
-            bi = Bias(d, b, name="biased")
-            return Graph(mid=bi, out=Relu(bi, name="act"))
-
-        program = GraphCompiler(compiled_solver(3)).compile(graph())
-        # dense->bias fuses (bias is the tail *and* an output); relu stays.
-        assert program.fused_epilogues == 1 and len(program.stages) == 2
-        result = program.run()
-        reference = GraphCompiler(
-            Solver(ArraySpec(w=3), options=ExecutionOptions(backend="simulate"))
-        ).compile(graph()).run()
-        assert np.array_equal(result.output("mid"), reference.output("mid"))
-        assert np.array_equal(result.output("out"), reference.output("out"))
-
-    def test_per_node_options_block_fusion(self):
-        W, x, b = self._operands(6)
-        d = Dense(W, x, name="dense")
-        bi = Bias(
-            d, b, name="biased",
-            options=ExecutionOptions(backend="vectorized"),
-        )
-        program = GraphCompiler(compiled_solver(3)).compile(
-            Graph(y=Relu(bi, name="act"))
-        )
-        assert program.fused_epilogues == 0 and len(program.stages) == 3
-
-    def test_cross_chain_reference_remaps(self):
-        """A bias vector produced by another fused chain's tail."""
-        W, x, _b = self._operands(7)
-
-        def graph():
-            r1 = Relu(Dense(W, x, name="d1"), name="r1")
-            b2 = Bias(Dense(W, x, name="d2"), r1, name="b2")
-            return Graph(out=b2)
-
-        program = GraphCompiler(compiled_solver(3)).compile(graph())
-        assert program.fused_epilogues == 2 and len(program.stages) == 2
-        result = program.run()
-        reference = GraphCompiler(
-            Solver(ArraySpec(w=3), options=ExecutionOptions(backend="simulate"))
-        ).compile(graph()).run()
-        assert np.array_equal(result.values, reference.values)
-
-    def test_fuse_epilogues_opt_in_for_other_backends(self):
-        W, x, b = self._operands(8)
-        solver = Solver(
-            ArraySpec(w=3), options=ExecutionOptions(backend="vectorized")
-        )
-        program = GraphCompiler(solver, fuse_epilogues=True).compile(
-            self._mlp(W, x, b)
-        )
-        assert program.fused_epilogues == 1
-        reference = GraphCompiler(solver).compile(self._mlp(W, x, b))
-        assert reference.fused_epilogues == 0
-        assert np.array_equal(program.run().values, reference.run().values)
-
-    def test_rewrite_returns_graph_unchanged_when_nothing_fuses(self):
-        W, x, _b = self._operands(9)
-        graph = Graph(y=Dense(W, x, name="dense"))
-        rewritten, count = fuse_epilogue_chains(graph)
-        assert rewritten is graph and count == 0
-
-    def test_fused_node_plan_key_is_stable(self):
-        W, x, b = self._operands(10)
-        d = Dense(W, x, name="dense")
-        bi = Bias(d, b)
-        node = Fused((d, bi, Relu(bi)))
-        # plan_shapes normalizes the composite spec through the handler
-        assert node.plan_shapes() == (
-            ("dense", (self.N, self.M)),
-            ("bias", (self.N,)),
-            ("relu", (self.N,)),
-        )
-
-    def test_describe_reports_fusion(self):
-        W, x, b = self._operands(11)
-        program = GraphCompiler(compiled_solver(3)).compile(self._mlp(W, x, b))
-        assert "1 fused epilogue group(s)" in program.describe()
-        assert "1 fused epilogue group(s)" in program.run().describe()
+def _alias_options() -> ExecutionOptions:
+    with pytest.warns(DeprecationWarning, match="compiled"):
+        options = ExecutionOptions(backend="compiled")
+    assert options.backend == "vectorized"
+    return options
 
 
 class TestCompiledPersistence:
@@ -398,44 +31,18 @@ class TestCompiledPersistence:
         x = rng.standard_normal(7)
         writer = Solver(
             ArraySpec(self.W),
-            options=ExecutionOptions(backend="compiled"),
+            options=_alias_options(),
             store=PlanStore(tmp_path),
         )
         first = writer.solve("matvec", a, x)
         reader = Solver(
             ArraySpec(self.W),
-            options=ExecutionOptions(backend="compiled"),
+            options=_alias_options(),
             store=PlanStore(tmp_path, readonly=True),
         )
         second = reader.solve("matvec", a, x)
         assert np.array_equal(second.values, first.values)
         assert reader.store.stats.hits == 1
-
-    def test_fused_plan_round_trips_through_store(self, tmp_path, rng):
-        a = rng.standard_normal((12, 10))
-        x = rng.standard_normal(10)
-        b = rng.standard_normal(12)
-
-        def graph():
-            d = Dense(a, x, name="dense")
-            return Graph(y=Relu(Bias(d, b), name="act"))
-
-        writer = Solver(
-            ArraySpec(self.W),
-            options=ExecutionOptions(backend="compiled"),
-            store=PlanStore(tmp_path),
-        )
-        first = GraphCompiler(writer).compile(graph()).run()
-        store = PlanStore(tmp_path, readonly=True)
-        assert any(key[0] == "fused" for key in store.keys())
-        reader = Solver(
-            ArraySpec(self.W),
-            options=ExecutionOptions(backend="compiled"),
-            store=store,
-        )
-        program = GraphCompiler(reader).compile(graph())
-        assert program.compile_plan_builds == 0  # warm from the store
-        assert np.array_equal(program.run().values, first.values)
 
     def test_corrupt_artifact_fails_open_to_recompile(self, tmp_path, rng):
         a = rng.standard_normal((6, 6))
@@ -443,7 +50,7 @@ class TestCompiledPersistence:
         store = PlanStore(tmp_path)
         writer = Solver(
             ArraySpec(self.W),
-            options=ExecutionOptions(backend="compiled"),
+            options=_alias_options(),
             store=store,
         )
         expected = writer.solve("matvec", a, x)
@@ -451,7 +58,7 @@ class TestCompiledPersistence:
             artifact.write_bytes(b"garbage")
         reader = Solver(
             ArraySpec(self.W),
-            options=ExecutionOptions(backend="compiled"),
+            options=_alias_options(),
             store=PlanStore(tmp_path),
         )
         solution = reader.solve("matvec", a, x)

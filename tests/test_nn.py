@@ -8,6 +8,8 @@ quantization bound on every layer.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,36 @@ class TestQuantizedMLP:
         for sim, vec in zip(simulated.solutions, vectorized.solutions):
             assert sim.values.dtype == vec.values.dtype
             assert np.array_equal(sim.values, vec.values)
+
+    def test_float_outputs_on_every_backend(self, rng):
+        """Every intermediate stage stays addressable by name.
+
+        ``backend="compiled"`` once fused the dequantize stages away, so
+        ``float_outputs`` raised ``KeyError: 'dequant_0'``; the alias now
+        runs the same unfused graph as ``vectorized``.
+        """
+        mlp = make_mlp(rng)
+        qmlp = mlp.quantized([rng.normal(size=mlp.input_size)])
+        x = rng.normal(size=mlp.input_size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            alias = ExecutionOptions(backend="compiled")
+        options = {
+            "simulate": ExecutionOptions(backend="simulate"),
+            "vectorized": ExecutionOptions(backend="vectorized"),
+            "compiled": alias,
+        }
+        outputs = {}
+        for backend, backend_options in options.items():
+            solver = Solver(ArraySpec(w=4), options=backend_options)
+            outputs[backend] = qmlp.float_outputs(
+                GraphCompiler(solver).run(qmlp.graph(x))
+            )
+        assert "dequant_0" in outputs["compiled"]
+        for backend in ("vectorized", "compiled"):
+            assert outputs[backend].keys() == outputs["simulate"].keys()
+            for name, values in outputs["simulate"].items():
+                assert np.array_equal(outputs[backend][name], values), name
 
     def test_weight_quantization_must_be_symmetric(self, rng):
         mlp = make_mlp(rng, sizes=(4, 3))

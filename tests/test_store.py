@@ -194,11 +194,16 @@ class TestCorruptionFuzz:
 
     def test_version_bump_falls_back(self, tmp_path):
         path, key, operands = self._seed_artifact(tmp_path)
-        blob = bytearray(path.read_bytes())
+        pristine = path.read_bytes()
         offset = len(MAGIC)
-        blob[offset:offset + 4] = (FORMAT_VERSION + 1).to_bytes(4, "big")
-        path.write_bytes(bytes(blob))
-        self._assert_falls_back(tmp_path, operands)
+        # A newer writer, and an older one (whose pickled plan layout
+        # this code no longer has): both are recompiled, never unpickled.
+        for version in (FORMAT_VERSION + 1, FORMAT_VERSION - 1):
+            blob = bytearray(pristine)
+            blob[offset:offset + 4] = version.to_bytes(4, "big")
+            path.write_bytes(bytes(blob))
+            self._assert_falls_back(tmp_path, operands)
+            assert path.read_bytes() == pristine
 
     def test_bad_magic_falls_back(self, tmp_path):
         path, key, operands = self._seed_artifact(tmp_path)
