@@ -8,21 +8,26 @@ magnitude faster while staying bit-identical.
 
 Two layers:
 
-* a *smoke* check (always on, including ``--benchmark-disable``) proving
-  both backends import, run and agree bit-for-bit on a small problem;
-* the wall-clock comparison on an n=512 mat-vec, asserting the >= 10x
-  speedup claim on warm (plan-cached) solves.  Skipped in smoke mode,
-  where timing is meaningless.
+* *smoke* checks (always on, including ``--benchmark-disable``) proving
+  both backends import, run and agree bit-for-bit on a small problem, and
+  that the stacked batch kernel's chunk rule sweeps one 512x512 problem
+  per chunk;
+* the wall-clock comparisons, skipped in smoke mode, where timing is
+  meaningless: an n=512 mat-vec asserting the >= 10x speedup claim on
+  warm (plan-cached) solves, and a k=16 stack of 48x48 mat-vecs
+  asserting one stacked kernel call is >= 1.5x as fast as 16 single ones.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import numpy as np
 import pytest
 
 from repro.api import ArraySpec, ExecutionOptions, Solver
+from repro.backends.kernels import chunk_problems, float_linear_sweep
 
 
 def _solver(w: int, backend: str) -> Solver:
@@ -111,3 +116,51 @@ def test_vectorized_speedup_on_large_matvec(request, rng, show_report):
         int(np.array_equal(vectorized_holder[0].values, simulated.values)),
     )
     show_report(report)
+
+
+def test_chunk_rule_sweeps_one_512_problem_per_chunk():
+    """The accumulator budget holds one 512x512 problem, padded or not."""
+    assert chunk_problems(512, 512) == 1
+    assert chunk_problems(513, 513) == 1  # 512 padded to a w=3 multiple
+    # ... while small problems share chunks.
+    assert chunk_problems(48, 48) > 1
+
+
+def test_stacked_sweep_speedup_on_batch(request):
+    """k=16 48x48 mat-vecs: one stacked sweep >= 1.5x 16 single sweeps."""
+    if request.config.getoption("--benchmark-disable"):
+        pytest.skip("smoke mode: timing comparison disabled")
+    k, n, w = 16, 48, 4
+    rng = np.random.default_rng(48)
+    a = rng.normal(size=(k, n, n))
+    x = rng.normal(size=(k, n))
+    b = rng.normal(size=(k, n))
+    geometry = (w, n // w, n // w)
+
+    def stacked():
+        return float_linear_sweep(a, x, b, *geometry)
+
+    def looped():
+        return [
+            float_linear_sweep(a[p : p + 1], x[p : p + 1], b[p : p + 1], *geometry)
+            for p in range(k)
+        ]
+
+    bands, y = stacked()
+    for p, (single_bands, single_y) in enumerate(looped()):
+        assert np.array_equal(bands[p], single_bands[0])
+        assert np.array_equal(y[p], single_y[0])
+
+    def seconds(callable_, calls: int = 5) -> float:
+        start = time.perf_counter()
+        for _ in range(calls):
+            callable_()
+        return time.perf_counter() - start
+
+    # Interleaved repeats, so host-speed drift hits both sides alike.
+    ratios = [seconds(looped) / seconds(stacked) for _ in range(21)]
+    speedup = statistics.median(ratios)
+    assert speedup >= 1.5, (
+        f"stacked k={k} sweep only {speedup:.2f}x 16 single sweeps "
+        f"(median of {len(ratios)} interleaved repeats)"
+    )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..instrumentation import CacheStats
 from .config import ArraySpec, ExecutionOptions
@@ -98,12 +98,15 @@ class ExecutionPlan:
 
     @property
     def supports_pairing(self) -> bool:
-        """Whether two independent executions can share one array run.
+        """Whether same-plan executions can be grouped and paired.
 
         True only for the plain matvec plan: ``solve_batch`` and the graph
-        compiler route pairs of same-plan stages through
-        :meth:`execute_pair` so the second problem rides the idle
-        contraflow cycles of the first.
+        compiler route same-plan requests and stages through
+        :meth:`execute_group`, whose consecutive pairs are reported as one
+        overlapped array run (the second problem rides the idle
+        contraflow cycles of the first).  The pairing is array-cycle
+        accounting; on the vectorized backend the group computes as one
+        stacked sweep.
         """
         return bool(getattr(self._executor, "supports_pairing", False))
 
@@ -145,27 +148,31 @@ class ExecutionPlan:
         with self._span("plan.execute"):
             return self._handler.execute_problem(self, problem)
 
-    def execute_pair(self, first: Tuple, second: Tuple):
-        """Run two independent same-plan problems on one shared array run.
+    def execute_group(self, entries: Sequence[Tuple]) -> List[Any]:
+        """Run independent same-plan operand sets as one group.
 
-        Only valid when :attr:`supports_pairing` is true.  Returns the two
-        wrapped :class:`~repro.api.solution.Solution` objects, marked
-        ``stats["paired"]`` and with the paper's single-problem step and
-        utilization predictions dropped (the closed forms do not cover two
-        interleaved requests sharing one run).
+        Only valid when :attr:`supports_pairing` is true.  Consecutive
+        entries pair up: each pair's wrapped
+        :class:`~repro.api.solution.Solution` objects share one
+        overlapped array run, are marked ``stats["paired"]`` and carry no
+        step or utilization prediction (the paper's closed forms do not
+        cover two interleaved requests sharing one run).  An odd last
+        entry runs plain, exactly like :meth:`execute`.
         """
         from ..instrumentation import counters
 
-        counters.bump("plan_executions", 2)
-        with self._span("plan.execute_pair"):
-            legacy_a, legacy_b = self._executor.execute_pair(first, second)
-        solutions = []
-        for legacy in (legacy_a, legacy_b):
-            solution = self._handler.wrap(self, legacy)
-            solution.stats["paired"] = True
-            solution.predicted_steps = None
-            solution.predicted_utilization = None
-            solutions.append(solution)
+        counters.bump("plan_executions", len(entries))
+        with self._span("plan.execute_group"):
+            legacies = self._executor.execute_group(entries)
+        return [self._handler.wrap(self, legacy) for legacy in legacies]
+
+    def execute_pair(self, first: Tuple, second: Tuple):
+        """:meth:`execute_group` of two entries, as a tuple.
+
+        Kept only because ``perfbench/test_perfbench.py`` patches plan
+        execution by this name; drop it at the next benchmark change.
+        """
+        solutions = self.execute_group([first, second])
         return solutions[0], solutions[1]
 
     def describe(self) -> str:

@@ -112,28 +112,32 @@ class MatVecHandler(ProblemHandler):
 
     def wrap(self, plan, legacy) -> Solution:
         """Adapt a :class:`~repro.core.matvec.MatVecSolution`."""
-        # Unpaired delays are pure band geometry, so they are cached on
-        # the plan after the first solve (getattr: plans persisted before
-        # the cache slot existed deserialize without it).  Paired runs
-        # shift the second problem's schedule into the idle cycles, so
-        # their delays are computed per run, never cached.
-        feedback = None
-        if not legacy.overlapped:
-            feedback = getattr(plan.executor, "feedback_stats", None)
+        # A pairable (plain) plan reports an overlapped run only for a
+        # request paired with another in a group (see
+        # ExecutionPlan.execute_group); the split plan overlaps the two
+        # halves of one problem.
+        paired = legacy.overlapped and plan.supports_pairing
+        # Feedback delays are pure band geometry, so their digest is
+        # memoized on the plan per schedule.
+        schedule = "paired" if paired else "split" if legacy.overlapped else "plain"
+        memo = plan.executor.feedback_memo
+        feedback = memo.get(schedule)
         if feedback is None:
             feedback = FeedbackStats.from_delays(legacy.feedback_delays)
-            if not legacy.overlapped and hasattr(plan.executor, "feedback_stats"):
-                plan.executor.feedback_stats = feedback
+            memo[schedule] = feedback
+        stats = {"overlapped": legacy.overlapped}
+        if paired:
+            stats["paired"] = True
         return Solution(
             kind=self.kind,
             w=plan.spec.w,
             values=legacy.y,
             measured_steps=legacy.measured_steps,
-            predicted_steps=legacy.predicted_steps,
+            predicted_steps=None if paired else legacy.predicted_steps,
             measured_utilization=legacy.measured_utilization,
-            predicted_utilization=legacy.predicted_utilization,
+            predicted_utilization=None if paired else legacy.predicted_utilization,
             feedback=feedback,
-            stats={"overlapped": legacy.overlapped},
+            stats=stats,
             raw=legacy,
             plan_key=plan.key,
         )

@@ -288,11 +288,14 @@ class Solver:
 
         ``kind`` is a kind string or a typed problem class
         (``solver.solve_batch(MatVec, [(a, x), (a2, x2)])``).  For the
-        plain (non-overlapped) matvec kind, requests that share a
-        plan are grouped and executed *pairwise overlapped* — the second
-        problem's schedule slots into the idle cycles of the first — so a
-        uniform batch finishes in roughly half the sequential array time
-        while producing values identical to sequential solves.  Grouping
+        plain (non-overlapped) matvec kind, requests that share a plan
+        form one group, executed through
+        :meth:`~repro.api.plan.ExecutionPlan.execute_group`.  Its members
+        are reported *pairwise overlapped* — the second problem's
+        schedule slots into the idle cycles of the first — so a uniform
+        batch takes roughly half the sequential *array cycles*; in wall
+        clock, the vectorized backend computes each group as one stacked
+        sweep.  Values are identical to sequential solves.  Grouping
         happens by plan, not by adjacency: a shape-interleaved batch
         (A, B, A, B) still pairs the two A's and the two B's.  Results
         come back in the original batch order.
@@ -318,15 +321,11 @@ class Solver:
             else:
                 pending.append(index)
         for indices in groups.values():
-            for position in range(0, len(indices) - 1, 2):
-                first, second = indices[position], indices[position + 1]
-                plan = planned[first][0]
-                paired = plan.execute_pair(entries[first], entries[second])
-                for index, solution in zip((first, second), paired):
-                    solution.from_cache = planned[index][1]
-                    results[index] = solution
-            if len(indices) % 2:
-                pending.append(indices[-1])
+            plan = planned[indices[0]][0]
+            solutions = plan.execute_group([entries[index] for index in indices])
+            for index, solution in zip(indices, solutions):
+                solution.from_cache = planned[index][1]
+                results[index] = solution
         for index in pending:
             plan, hit = planned[index]
             solution = plan.execute(*entries[index])

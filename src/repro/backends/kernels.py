@@ -8,14 +8,17 @@ view, so the NumPy kernels rotate into consumption order with strided
 slices per lane — never a gather, never an O(N_pad * M_pad) index
 tensor.
 
-Two bodies exist for the float sweep:
+The float sweep takes a stack of ``k`` same-geometry problems (a single
+solve is ``k = 1``); callers cut long stacks into chunks whose
+accumulators fit :data:`CHUNK_BYTES` (:func:`chunk_problems`).  Two
+bodies exist for it:
 
-* a pure-NumPy body that multiplies each lane directly into a
-  ``b``-seeded accumulator and folds it with one in-place
-  ``np.add.accumulate`` prefix sum (always available), and
-* a Numba ``@njit`` body compiled lazily on first use when Numba is
-  importable (no ``fastmath`` — the sequential fold order is the whole
-  bit-identity contract).
+* a pure-NumPy body that multiplies each lane of every problem in the
+  chunk directly into a ``b``-seeded accumulator and folds it with one
+  in-place ``np.add.accumulate`` prefix sum (always available), and
+* a Numba ``@njit`` body with the batch axis as its outer loop, compiled
+  lazily on first use when Numba is importable (no ``fastmath`` — the
+  sequential fold order is the whole bit-identity contract).
 
 Both replay the simulator's exact left fold ``((b + p_0) + p_1) + ...``
 per padded row, so their results are bit-identical to each other and to
@@ -29,7 +32,7 @@ variable (the CI matrix runs one leg each way).
 from __future__ import annotations
 
 import os
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +40,8 @@ __all__ = [
     "NUMBA_AVAILABLE",
     "NUMBA_DISABLE_ENV",
     "numba_enabled",
+    "CHUNK_BYTES",
+    "chunk_problems",
     "float_linear_sweep",
     "int_linear_sweep",
 ]
@@ -60,10 +65,32 @@ def numba_enabled() -> bool:
     return NUMBA_AVAILABLE and veto not in ("1", "true", "yes", "on")
 
 
-def _band_order(snapshots: np.ndarray, n_bar: int, w: int) -> np.ndarray:
-    """Per-row ``(N_pad, M_bar)`` pass snapshots in the simulator's band-row order."""
-    m_bar = snapshots.shape[1]
-    return snapshots.reshape(n_bar, w, m_bar).transpose(0, 2, 1).reshape(-1)
+#: Byte budget of one chunk's float64 accumulator.  A stack is swept in
+#: chunks of as many problems as fit (at least one).  Unchunked, 16
+#: 512x512 problems (a 33 MB accumulator) ran at 0.6-0.8x the speed of
+#: 16 separate sweeps.  The budget is also glibc's default mmap
+#: threshold: larger chunk temporaries are mapped afresh per call, and a
+#: 16 x 48x48 stack in one 300 KB chunk paid ~180 page faults (~0.5 ms)
+#: per sweep; at 128 KiB they are recycled from the heap.
+CHUNK_BYTES = 128 * 1024
+
+
+def chunk_problems(n_pad: int, m_pad: int) -> int:
+    """Problems per swept chunk: the most whose accumulators fit the budget."""
+    return max(1, CHUNK_BYTES // (n_pad * (m_pad + 1) * 8))
+
+
+def _band_order(snapshots: np.ndarray, out: np.ndarray, n_bar: int, w: int) -> None:
+    """Write ``(k, N_pad, M_bar)`` pass snapshots into ``out`` in band-row order.
+
+    ``out`` is the ``(k, N_pad * M_bar)`` slice of the band-output stack;
+    band row ``(block, pass, lane)`` holds row ``block * w + lane``'s
+    snapshot after pass ``pass`` (the simulator's ``y_per_problem`` order).
+    """
+    k, _n_pad, m_bar = snapshots.shape
+    out.reshape(k, n_bar, m_bar, w)[...] = snapshots.reshape(
+        k, n_bar, w, m_bar
+    ).transpose(0, 1, 3, 2)
 
 
 def _sweep_numpy(
@@ -73,35 +100,69 @@ def _sweep_numpy(
     w: int,
     n_bar: int,
     m_bar: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Fused multiply-rotate-fold with per-pass snapshots.
+    bands: np.ndarray,
+    y: np.ndarray,
+) -> None:
+    """Fused multiply-rotate-fold of one stack, with per-pass snapshots.
 
-    Each lane's products are written *already rotated* into columns
-    ``1..M_pad`` of a ``b``-seeded accumulator (two strided slice
-    products per lane, no intermediate product array).
-    ``np.add.accumulate`` is a sequential accumulate (each output is the
-    previous output plus the next input, never a pairwise tree), so one
-    in-place prefix sum along the contiguous axis is the simulator's
-    per-row fold verbatim; column ``(j + 1) w`` is then exactly the
-    pass-``j`` partial snapshot.
+    The stack's block rows are laid end to end, ``k * N_bar`` of them, so
+    each lane's products are two strided slice products for the whole
+    stack, written *already rotated* into columns ``1..M_pad`` of a
+    ``b``-seeded accumulator (no intermediate product array).  Every block
+    row needs its own problem's ``x``: a lone problem broadcasts it, a
+    stack repeats it per block row.  ``np.add.accumulate`` is a sequential
+    accumulate (each output is the previous output plus the next input,
+    never a pairwise tree), so one in-place prefix sum along the
+    contiguous axis is the simulator's per-row fold verbatim; column
+    ``(j + 1) w`` is then exactly the pass-``j`` partial snapshot.
     """
+    k = a_pad.shape[0]
     n_pad = n_bar * w
     m_pad = m_bar * w
-    acc = np.empty((n_pad, m_pad + 1), dtype=np.float64)
-    acc[:, 0] = b_pad
-    acc3 = acc.reshape(n_bar, w, m_pad + 1)
-    a3 = a_pad.reshape(n_bar, w, m_pad)
-    np.multiply(a3[:, 0, :], x_pad, out=acc3[:, 0, 1:])
+    acc = np.empty((k * n_pad, m_pad + 1), dtype=np.float64)
+    acc[:, 0] = b_pad.reshape(-1)
+    acc3 = acc.reshape(k * n_bar, w, m_pad + 1)
+    a3 = a_pad.reshape(k * n_bar, w, m_pad)
+    xs = x_pad[0] if k == 1 else np.repeat(x_pad, n_bar, axis=0)
+    np.multiply(a3[:, 0, :], xs, out=acc3[:, 0, 1:])
     for lane in range(1, w):
         split = m_pad - lane
         np.multiply(
-            a3[:, lane, lane:], x_pad[lane:], out=acc3[:, lane, 1 : split + 1]
+            a3[:, lane, lane:], xs[..., lane:], out=acc3[:, lane, 1 : split + 1]
         )
         np.multiply(
-            a3[:, lane, :lane], x_pad[:lane], out=acc3[:, lane, split + 1 :]
+            a3[:, lane, :lane], xs[..., :lane], out=acc3[:, lane, split + 1 :]
         )
     np.add.accumulate(acc, axis=1, out=acc)
-    return _band_order(acc[:, w::w], n_bar, w), acc[:, -1].copy()
+    _band_order(acc[:, w::w].reshape(k, n_pad, m_bar), bands, n_bar, w)
+    y[...] = acc[:, -1].reshape(k, n_pad)
+
+
+def _sweep_loops(a_pad, x_pad, b_pad, w, n_bar, m_bar):
+    """Scalar body of the Numba kernel: one left fold per padded row.
+
+    Returns ``(partials, y)`` with ``partials[p, j, r]`` the pass-``j``
+    snapshot of row ``r`` of problem ``p``.  Plain Python runs it too
+    (slowly), which is how its logic is checked where Numba is absent.
+    """
+    k = a_pad.shape[0]
+    n_pad = n_bar * w
+    m_pad = m_bar * w
+    y = b_pad.copy()
+    partials = np.empty((k, m_bar, n_pad), dtype=np.float64)
+    for p in range(k):
+        for r in range(n_pad):
+            shift = r % w
+            acc = y[p, r]
+            for t in range(m_pad):
+                c = t + shift
+                if c >= m_pad:
+                    c -= m_pad
+                acc = acc + a_pad[p, r, c] * x_pad[p, c]
+                if (t + 1) % w == 0:
+                    partials[p, (t + 1) // w - 1, r] = acc
+            y[p, r] = acc
+    return partials, y
 
 
 # One compiled dispatcher per process, built on first use.  Numba
@@ -113,27 +174,7 @@ _NUMBA_SWEEP = None
 def _numba_sweep():  # pragma: no cover - Numba-installed leg only
     global _NUMBA_SWEEP
     if _NUMBA_SWEEP is None:
-
-        @_njit(cache=False)
-        def sweep(a_pad, x_pad, b_pad, w, n_bar, m_bar):
-            n_pad = n_bar * w
-            m_pad = m_bar * w
-            y = b_pad.copy()
-            partials = np.empty((m_bar, n_pad), dtype=np.float64)
-            for r in range(n_pad):
-                shift = r % w
-                acc = y[r]
-                for t in range(m_pad):
-                    c = t + shift
-                    if c >= m_pad:
-                        c -= m_pad
-                    acc = acc + a_pad[r, c] * x_pad[c]
-                    if (t + 1) % w == 0:
-                        partials[(t + 1) // w - 1, r] = acc
-                y[r] = acc
-            return partials, y
-
-        _NUMBA_SWEEP = sweep
+        _NUMBA_SWEEP = _njit(cache=False)(_sweep_loops)
     return _NUMBA_SWEEP
 
 
@@ -144,16 +185,32 @@ def float_linear_sweep(
     w: int,
     n_bar: int,
     m_bar: int,
+    out: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(band_outputs, y_padded)`` of one float mat-vec sweep.
+    """``(band_outputs, y_padded)`` of a stack of ``k`` float mat-vec sweeps.
 
     Operands arrive padded to ``w`` multiples as contiguous float64
-    arrays.
+    stacks of shapes ``(k, N_pad, M_pad)``, ``(k, M_pad)`` and
+    ``(k, N_pad)``; the results are ``(k, band_rows)`` and ``(k, N_pad)``
+    arrays, written into ``out`` when given.  Row ``p`` of each result is
+    bit-identical to sweeping problem ``p`` alone (a single solve is the
+    ``k = 1`` stack): every padded row keeps its own sequential fold.
+    Callers keep stacks within :func:`chunk_problems`.
     """
+    k = a_pad.shape[0]
+    n_pad = n_bar * w
+    if out is None:
+        out = (
+            np.empty((k, n_pad * m_bar), dtype=np.float64),
+            np.empty((k, n_pad), dtype=np.float64),
+        )
+    bands, y = out
     if numba_enabled():  # pragma: no cover - Numba-installed leg only
-        partials, y = _numba_sweep()(a_pad, x_pad, b_pad, w, n_bar, m_bar)
-        return _band_order(partials.T, n_bar, w), y
-    return _sweep_numpy(a_pad, x_pad, b_pad, w, n_bar, m_bar)
+        partials, y[...] = _numba_sweep()(a_pad, x_pad, b_pad, w, n_bar, m_bar)
+        _band_order(partials.transpose(0, 2, 1), bands, n_bar, w)
+    else:
+        _sweep_numpy(a_pad, x_pad, b_pad, w, n_bar, m_bar, bands, y)
+    return bands, y
 
 
 def int_linear_sweep(
@@ -192,4 +249,6 @@ def int_linear_sweep(
     )
     np.cumsum(partials, axis=1, out=partials)
     partials += b_pad[:, None]
-    return _band_order(partials, n_bar, w), partials[:, -1].copy()
+    bands = np.empty((1, partials.size), dtype=partials.dtype)
+    _band_order(partials[None], bands, n_bar, w)
+    return bands[0], partials[:, -1].copy()

@@ -48,10 +48,12 @@ from ..systolic.hex_array import HexRunResult
 from ..systolic.linear_array import LinearRunResult
 from ..systolic.metrics import UtilizationReport
 from ..systolic.stream import DataStream
-from .kernels import float_linear_sweep, int_linear_sweep
+from .kernels import chunk_problems, float_linear_sweep, int_linear_sweep
 
 __all__ = [
     "LinearSweepPlan",
+    "LinearRunGeometry",
+    "linear_run_geometry",
     "HexSweepPlan",
     "HexStructuralMetrics",
     "hex_structural_metrics",
@@ -85,9 +87,9 @@ class LinearSweepPlan:
 
     Holds only geometry (row ``i`` of the padded problem consumes padded
     columns ``i mod w, i mod w + 1, ...`` wrapping modulo ``M_pad``) and
-    the structural metric ingredients; :meth:`sweep` and
-    :meth:`int_sweep` stream values through the lane-rotated kernels of
-    :mod:`repro.backends.kernels`.
+    the structural metric ingredients; :meth:`sweep`, :meth:`sweep_stack`
+    and :meth:`int_sweep` stream values through the lane-rotated kernels
+    of :mod:`repro.backends.kernels`.
     """
 
     def __init__(self, w: int, n: int, m: int, n_bar: int, m_bar: int,
@@ -101,7 +103,7 @@ class LinearSweepPlan:
         self._m_pad = self._m_bar * self._w
         self._band_rows = self._n_bar * self._m_bar * self._w
         self._useful = int(useful_operations)
-        self._events_cache: Dict[int, List[Tuple[int, int, int]]] = {}
+        self._geometry: Dict[int, LinearRunGeometry] = {}
 
     # -- geometry / structural metrics ----------------------------------------
     @property
@@ -129,25 +131,32 @@ class LinearSweepPlan:
         ``k - 1`` whenever ``k mod m_bar != 0``; the register chain delay
         is exactly ``w`` (the paper's T3 claim).
         """
-        events = self._events_cache.get(offset)
-        if events is None:
-            blocks = np.arange(self._n_bar * self._m_bar)
-            rows = (
-                blocks[blocks % self._m_bar != 0, None] * self._w
-                + np.arange(self._w)
-            ).ravel()
-            pops = 2 * rows + _linear_alpha(self._w) + offset
-            events = list(
-                zip(rows.tolist(), (pops - self._w).tolist(), pops.tolist())
-            )
-            self._events_cache[offset] = events
-        return events
+        blocks = np.arange(self._n_bar * self._m_bar)
+        rows = (
+            blocks[blocks % self._m_bar != 0, None] * self._w
+            + np.arange(self._w)
+        ).ravel()
+        pops = 2 * rows + _linear_alpha(self._w) + offset
+        return list(zip(rows.tolist(), (pops - self._w).tolist(), pops.tolist()))
+
+    def run_geometry(self, copies: int = 1) -> "LinearRunGeometry":
+        """Run geometry of ``copies`` (1 or 2) same-plan problems, memoized.
+
+        One copy is the plain schedule; two are the paper's overlapped
+        schedule with the second copy one cycle behind the first.
+        """
+        geometry = self._geometry.get(copies)
+        if geometry is None:
+            geometry = linear_run_geometry(self._w, [self] * copies)
+            self._geometry[copies] = geometry
+        return geometry
 
     def __getstate__(self) -> Dict[str, Any]:
-        # The memoized event lists are O(band rows) and rebuilt on first
-        # use, so pickled plans (plan-store artifacts) carry geometry only.
+        # The memoized run geometry holds O(band rows) event lists and is
+        # rebuilt on first use, so pickled plans (plan-store artifacts)
+        # carry the sweep geometry only.
         state = dict(self.__dict__)
-        state["_events_cache"] = {}
+        state["_geometry"] = {}
         return state
 
     # -- value streaming --------------------------------------------------------
@@ -163,14 +172,46 @@ class LinearSweepPlan:
         partial snapshot per pass, ordered exactly like the simulator's
         ``y_per_problem`` entries) and the final padded result vector.
         """
-        return float_linear_sweep(
-            _padded(matrix, (self._n_pad, self._m_pad), np.float64),
-            _padded(x, (self._m_pad,), np.float64),
-            _padded(b, (self._n_pad,), np.float64),
+        bands, y = float_linear_sweep(
+            _padded(matrix, (self._n_pad, self._m_pad), np.float64)[None],
+            _padded(x, (self._m_pad,), np.float64)[None],
+            _padded(b, (self._n_pad,), np.float64)[None],
             self._w,
             self._n_bar,
             self._m_bar,
         )
+        return bands[0], y[0]
+
+    def sweep_stack(
+        self,
+        operands: Sequence[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Run the float sweep for ``k`` operand sets as stacked kernel calls.
+
+        ``operands`` are ``(matrix, x, b)`` float arrays (``b`` may be
+        ``None``).  Returns ``(band_outputs, y_padded)`` of shapes
+        ``(k, band_rows)`` and ``(k, N_pad)``; row ``p`` is bit-identical
+        to :meth:`sweep` of ``operands[p]``.  Operands are padded and
+        swept one chunk of :func:`~repro.backends.kernels.chunk_problems`
+        problems at a time.
+        """
+        k = len(operands)
+        bands = np.empty((k, self._band_rows), dtype=np.float64)
+        y = np.empty((k, self._n_pad), dtype=np.float64)
+        step = chunk_problems(self._n_pad, self._m_pad)
+        for lo in range(0, k, step):
+            hi = min(k, lo + step)
+            matrices, xs, bs = zip(*operands[lo:hi])
+            float_linear_sweep(
+                _padded_stack(matrices, (self._n_pad, self._m_pad)),
+                _padded_stack(xs, (self._m_pad,)),
+                _padded_stack(bs, (self._n_pad,)),
+                self._w,
+                self._n_bar,
+                self._m_bar,
+                out=(bands[lo:hi], y[lo:hi]),
+            )
+        return bands, y
 
     def int_sweep(
         self,
@@ -224,64 +265,108 @@ def _padded(
     return padded
 
 
-def build_linear_run(
-    w: int,
-    plans: Sequence[LinearSweepPlan],
-    outputs: Sequence[np.ndarray],
-) -> LinearRunResult:
-    """Assemble a :class:`LinearRunResult` for 1 plain or 2 overlapped sweeps.
+def _padded_stack(
+    values: Sequence[Optional[np.ndarray]], shape: Tuple[int, ...]
+) -> np.ndarray:
+    """A ``(k,) + shape`` float64 stack of zero-padded operands (zeros for ``None``).
+
+    Aligned operands are stacked with one copy, a lone one without any.
+    """
+    if len(values) == 1:
+        return _padded(values[0], shape, np.float64)[None]
+    stack_shape = (len(values),) + shape
+    if all(value is not None and value.shape == shape for value in values):
+        return np.stack(values, out=np.empty(stack_shape, dtype=np.float64))
+    stack = np.zeros(stack_shape, dtype=np.float64)
+    for slot, value in zip(stack, values):
+        if value is not None:
+            slot[tuple(map(slice, value.shape))] = value
+    return stack
+
+
+@dataclass(frozen=True)
+class LinearRunGeometry:
+    """The value-independent part of one linear-array run.
+
+    Everything :func:`build_linear_run` reports besides the outputs: the
+    step count, utilization report, feedback events in the simulator's
+    consumption-cycle order, the feedback register peak and the per-cell
+    MAC counts.  Results share these objects and treat them as read-only.
+    """
+
+    total_cycles: int
+    report: UtilizationReport
+    feedback_events: List[Tuple[int, int, int]]
+    feedback_register_peak: int
+    cell_mac_counts: List[int]
+
+
+def linear_run_geometry(
+    w: int, plans: Sequence[LinearSweepPlan]
+) -> LinearRunGeometry:
+    """Run geometry of 1 plain or 2 overlapped sweeps.
 
     Problem ``p`` runs at cycle offset ``p`` (the simulator's overlapped
     schedule); all metrics are the structural values the simulator would
-    measure.  The output stream is left empty and no trace is recorded.
+    measure.
     """
-    total_cycles = 0
-    mac_total = 0
-    useful = 0
-    output_count = 0
+    total_cycles = max(
+        linear_total_cycles(w, plan.band_rows, offset)
+        for offset, plan in enumerate(plans)
+    )
+    output_count = sum(plan.band_rows for plan in plans)
+    # The simulator records feedback events in consumption-cycle order,
+    # which interleaves overlapped problems.
+    events: List[Tuple[int, int, int]] = []
     for offset, plan in enumerate(plans):
-        total_cycles = max(total_cycles, linear_total_cycles(w, plan.band_rows, offset))
-        mac_total += plan.mac_operations
-        useful += plan.useful_operations
-        output_count += plan.band_rows
-    if len(plans) == 1:
-        # Share the plan's memoized event list instead of copying its
-        # O(bands) tuples per solve; results treat the list as read-only.
-        events: List[Tuple[int, int, int]] = plans[0].feedback_events(0)
-    else:
-        # The simulator records feedback events in consumption-cycle
-        # order, which interleaves overlapped problems.
-        events = []
-        for offset, plan in enumerate(plans):
-            events.extend(plan.feedback_events(offset))
+        events.extend(plan.feedback_events(offset))
+    if len(plans) > 1:
         events.sort(key=lambda event: event[2])
     # Outputs enter the w-register chain every other cycle for one problem
     # (ceil(w/2) simultaneously resident) and every cycle when two
     # problems interleave.
-    if len(plans) == 1:
-        peak = min(output_count, (w + 1) // 2)
-    else:
-        peak = min(output_count, w)
+    peak = min(output_count, (w + 1) // 2 if len(plans) == 1 else w)
     report = UtilizationReport(
         processing_elements=w,
         steps=total_cycles,
-        mac_operations=mac_total,
-        useful_operations=useful,
+        mac_operations=sum(plan.mac_operations for plan in plans),
+        useful_operations=sum(plan.useful_operations for plan in plans),
     )
-    y = outputs[0] if len(outputs) == 1 else np.concatenate(list(outputs))
-    return LinearRunResult(
-        size=w,
-        y=y,
-        output_stream=DataStream("y out"),
-        report=report,
+    return LinearRunGeometry(
         total_cycles=total_cycles,
-        first_input_cycle=0,
-        last_output_cycle=total_cycles,
-        y_per_problem=[np.asarray(out) for out in outputs],
+        report=report,
         feedback_events=events,
         feedback_register_peak=peak,
+        cell_mac_counts=[output_count] * w,
+    )
+
+
+def build_linear_run(
+    geometry: LinearRunGeometry,
+    outputs: Sequence[np.ndarray],
+    y: Optional[np.ndarray] = None,
+) -> LinearRunResult:
+    """Assemble a :class:`LinearRunResult` from run geometry and band outputs.
+
+    ``outputs`` holds one band-output vector per problem; ``y`` is their
+    concatenation (computed when not given).  The output stream is left
+    empty and no trace is recorded.
+    """
+    if y is None:
+        y = outputs[0] if len(outputs) == 1 else np.concatenate(list(outputs))
+    return LinearRunResult(
+        size=geometry.report.processing_elements,
+        y=y,
+        output_stream=DataStream("y out"),
+        report=geometry.report,
+        total_cycles=geometry.total_cycles,
+        first_input_cycle=0,
+        last_output_cycle=geometry.total_cycles,
+        y_per_problem=list(outputs),
+        feedback_events=geometry.feedback_events,
+        feedback_register_peak=geometry.feedback_register_peak,
         trace=None,
-        cell_mac_counts=[sum(p.band_rows for p in plans)] * w,
+        cell_mac_counts=geometry.cell_mac_counts,
     )
 
 

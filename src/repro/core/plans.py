@@ -36,12 +36,18 @@ the :mod:`repro.api` façade adds the LRU-cached front door.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..backends.registry import SIMULATE, VECTORIZED, resolve_backend
-from ..backends.vectorized import HexSweepPlan, LinearSweepPlan, build_linear_run
+from ..backends.vectorized import (
+    HexSweepPlan,
+    LinearRunGeometry,
+    LinearSweepPlan,
+    build_linear_run,
+    linear_run_geometry,
+)
 from ..errors import ShapeError
 from ..instrumentation import CacheStats, counters
 from ..matrices.banded import BandMatrix
@@ -49,7 +55,11 @@ from ..matrices.dense import as_matrix, as_vector
 from ..matrices.padding import pad_matrix, pad_vector, validate_array_size
 from ..systolic.feedback import ExternalSource, FeedbackSource
 from ..systolic.hex_array import CTokenPlan, HexFeedbackSource, HexagonalArray
-from ..systolic.linear_array import LinearContraflowArray, LinearProblem
+from ..systolic.linear_array import (
+    LinearContraflowArray,
+    LinearProblem,
+    LinearRunResult,
+)
 from .analytic import MatMulModel, MatVecModel
 from .dbt import DBTByRowsTransform
 from .matmul import MatMulSolution
@@ -124,10 +134,11 @@ class MatVecPlan:
     Immutable once built; :meth:`execute` only streams operand values.
     """
 
-    #: Two independent same-plan problems can share one array run through
-    #: :meth:`execute_pair` (the api batcher and the graph compiler route
-    #: pairable stages through it; the overlapped/split plan cannot, its
-    #: idle cycles already carry the second half of its own problem).
+    #: Same-plan problems can be grouped through :meth:`execute_group`,
+    #: which reports consecutive pairs as sharing one overlapped array run
+    #: (the api batcher and the graph compiler route pairable stages
+    #: through it; the overlapped/split plan cannot pair, its idle cycles
+    #: already carry the second half of its own problem).
     supports_pairing = True
 
     def __init__(
@@ -168,12 +179,11 @@ class MatVecPlan:
         self._useful = self._n * self._m
         self._model = MatVecModel(n=self._n, m=self._m, w=self._w, overlapped=False)
         self._array = LinearContraflowArray(self._w, record_trace=self._record_trace)
-        # Unpaired feedback delays are pure band geometry — identical on
-        # every plain execute of this plan — so the api handler caches
-        # the wrapped FeedbackStats here after the first solve instead
-        # of rebuilding the O(bands) delay list per request.  Paired
-        # (overlapped) runs shift the schedule and are never cached.
-        self.feedback_stats: Optional[Any] = None
+        # Feedback delays are pure band geometry — identical on every
+        # execute with the same schedule — so the api handler memoizes
+        # the wrapped FeedbackStats here per schedule ("plain", "paired")
+        # instead of rebuilding the O(bands) delay list per request.
+        self.feedback_memo: Dict[str, Any] = {}
         self._sweep: Optional[LinearSweepPlan] = None
         if self._backend == VECTORIZED:
             self._sweep = LinearSweepPlan(
@@ -184,6 +194,12 @@ class MatVecPlan:
                 m_bar=template.m_bar,
                 useful_operations=self._useful,
             )
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Memos are rebuilt on first use; pickled plans carry geometry only.
+        state = dict(self.__dict__)
+        state["feedback_memo"] = {}
+        return state
 
     # -- geometry -----------------------------------------------------------------
     @property
@@ -275,6 +291,18 @@ class MatVecPlan:
             useful_operations=self._useful,
         )
 
+    def _solution(
+        self, y: np.ndarray, run: LinearRunResult, overlapped: bool
+    ) -> MatVecSolution:
+        return MatVecSolution(
+            y=y,
+            w=self._w,
+            overlapped=overlapped,
+            transforms=[self._template],
+            run=run,
+            model=self._model,
+        )
+
     def execute(
         self,
         matrix: np.ndarray,
@@ -285,65 +313,57 @@ class MatVecPlan:
         if self._sweep is not None:
             matrix, x, b = self._validate(matrix, x, b)
             band_outputs, y_padded = self._sweep.sweep(matrix, x, b)
-            run = build_linear_run(self._w, [self._sweep], [band_outputs])
-            y = y_padded[: self._n].copy()
-        else:
-            problem = self.build_problem(matrix, x, b)
-            run = self._array.run(problem)
-            y = self._template.recover_y(run.y_per_problem[0])
-        return MatVecSolution(
-            y=y,
-            w=self._w,
-            overlapped=False,
-            transforms=[self._template],
-            run=run,
-            model=self._model,
+            run = build_linear_run(self._sweep.run_geometry(1), [band_outputs])
+            return self._solution(y_padded[: self._n].copy(), run, False)
+        problem = self.build_problem(matrix, x, b)
+        run = self._array.run(problem)
+        return self._solution(
+            self._template.recover_y(run.y_per_problem[0]), run, False
         )
 
-    def execute_pair(
+    def execute_group(
         self,
-        first: Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]],
-        second: Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]],
-    ) -> Tuple[MatVecSolution, MatVecSolution]:
-        """Run two independent same-shape problems overlapped on odd/even cycles.
+        entries: Sequence[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]],
+    ) -> List[MatVecSolution]:
+        """Solve independent same-shape problems as one group.
 
-        This is the paper's overlapping device applied across *requests*
-        instead of across the two halves of one transformed problem: the
-        second problem's schedule is shifted by one cycle into the idle
-        slots, so the pair finishes in roughly half the sequential time.
-        The recovered values are identical to two plain solves.
+        Consecutive entries ``(0, 1), (2, 3), ...`` are reported as the
+        paper's overlapping device applied across *requests*: the second
+        problem's schedule is shifted by one cycle into the first one's
+        idle slots, so each pair shares one run that takes roughly half
+        the sequential array time.  An odd last entry runs plain.  The
+        overlap is array-cycle accounting: on the vectorized backend the
+        whole group is one stacked sweep, and each pair's run carries the
+        overlapped schedule's steps and feedback events; the simulator
+        runs each pair overlapped.  Values are identical to plain solves.
         """
+        operands = [self._validate(*entry) for entry in entries]
+        paired = len(operands) - len(operands) % 2
+        solutions: List[MatVecSolution] = []
         if self._sweep is not None:
-            swept = [
-                self._sweep.sweep(*self._validate(*operands))
-                for operands in (first, second)
-            ]
-            run = build_linear_run(
-                self._w,
-                [self._sweep, self._sweep],
-                [band_outputs for band_outputs, _y in swept],
-            )
-            ys = [y_padded[: self._n].copy() for _outputs, y_padded in swept]
-        else:
-            problems = [self.build_problem(*first), self.build_problem(*second)]
-            run = self._array.run_overlapped(problems)
-            ys = [
-                self._template.recover_y(run.y_per_problem[index])
-                for index in range(2)
-            ]
-        solutions = []
-        for y in ys:
-            solutions.append(
-                MatVecSolution(
-                    y=y,
-                    w=self._w,
-                    overlapped=True,
-                    transforms=[self._template],
-                    run=run,
-                    model=self._model,
+            bands, y_padded = self._sweep.sweep_stack(operands)
+            ys = y_padded[:, : self._n]
+            for first in range(0, paired, 2):
+                pair = bands[first : first + 2]
+                run = build_linear_run(
+                    self._sweep.run_geometry(2), list(pair), pair.reshape(-1)
                 )
+                solutions.append(self._solution(ys[first], run, True))
+                solutions.append(self._solution(ys[first + 1], run, True))
+            if paired < len(operands):
+                run = build_linear_run(self._sweep.run_geometry(1), [bands[-1]])
+                solutions.append(self._solution(ys[-1], run, False))
+            return solutions
+        for first in range(0, paired, 2):
+            run = self._array.run_overlapped(
+                [self.build_problem(*operands[first + i]) for i in range(2)]
             )
-        return solutions[0], solutions[1]
+            for i in range(2):
+                y = self._template.recover_y(run.y_per_problem[i])
+                solutions.append(self._solution(y, run, True))
+        if paired < len(operands):
+            solutions.append(self.execute(*operands[-1]))
+        return solutions
 
 
 class OverlappedMatVecPlan:
@@ -351,7 +371,12 @@ class OverlappedMatVecPlan:
 
     The original problem is cut at an original block-row boundary into two
     halves whose transformed problems interleave on the array's idle
-    cycles; each half gets its own :class:`MatVecPlan` skeleton.
+    cycles; each half gets its own :class:`MatVecPlan` skeleton.  The cut
+    falls on a multiple of ``w`` rows, so on the vectorized backend one
+    sweep of the whole padded matrix (a geometry-only
+    :class:`LinearSweepPlan`, no third DBT template) yields both halves'
+    ``y`` and band outputs bit for bit; the split schedule is reported
+    through the run geometry, memoized per plan.
     """
 
     supports_pairing = False
@@ -375,6 +400,27 @@ class OverlappedMatVecPlan:
         self._bottom = MatVecPlan(self._n - top, self._m, self._w, backend=self._backend)
         self._array = LinearContraflowArray(self._w, record_trace=self._record_trace)
         self._model = MatVecModel(n=self._n, m=self._m, w=self._w, overlapped=True)
+        #: FeedbackStats of the split schedule, memoized by the api handler
+        #: (see :attr:`MatVecPlan.feedback_memo`).
+        self.feedback_memo: Dict[str, Any] = {}
+        self._geometry: Optional[LinearRunGeometry] = None
+        self._sweep: Optional[LinearSweepPlan] = None
+        if self._backend == VECTORIZED:
+            self._sweep = LinearSweepPlan(
+                w=self._w,
+                n=self._n,
+                m=self._m,
+                n_bar=self._partition.n_bar,
+                m_bar=self._partition.m_bar,
+                useful_operations=self._n * self._m,
+            )
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Memos are rebuilt on first use; pickled plans carry geometry only.
+        state = dict(self.__dict__)
+        state["feedback_memo"] = {}
+        state["_geometry"] = None
+        return state
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -392,6 +438,19 @@ class OverlappedMatVecPlan:
     @property
     def model(self) -> MatVecModel:
         return self._model
+
+    @property
+    def sweep_plan(self) -> Optional[LinearSweepPlan]:
+        """The whole-matrix sweep skeleton (``None`` on the simulate backend)."""
+        return self._sweep
+
+    def _split_geometry(self) -> LinearRunGeometry:
+        """Run geometry of the two halves overlapped, memoized."""
+        if self._geometry is None:
+            self._geometry = linear_run_geometry(
+                self._w, [self._top.sweep_plan, self._bottom.sweep_plan]
+            )
+        return self._geometry
 
     def execute(
         self,
@@ -416,32 +475,26 @@ class OverlappedMatVecPlan:
                 raise ShapeError(
                     f"b has length {b.shape[0]} but the matrix has {self._n} rows"
                 )
-        top_rows = self._partition.first_rows
-        top_b = b[:top_rows] if b is not None else None
-        bottom_b = b[top_rows:] if b is not None else None
-        if self._backend == VECTORIZED:
-            top_outputs, top_y = self._top._sweep.sweep(
-                matrix[:top_rows, :], x, top_b
-            )
-            bottom_outputs, bottom_y = self._bottom._sweep.sweep(
-                matrix[top_rows:, :], x, bottom_b
-            )
+        transforms = [self._top.transform, self._bottom.transform]
+        if self._sweep is not None:
+            band_outputs, y_padded = self._sweep.sweep(matrix, x, b)
+            cut = self._top.sweep_plan.band_rows
             run = build_linear_run(
-                self._w,
-                [self._top._sweep, self._bottom._sweep],
-                [top_outputs, bottom_outputs],
-            )
-            y = np.concatenate(
-                [top_y[:top_rows], bottom_y[: self._n - top_rows]]
+                self._split_geometry(),
+                [band_outputs[:cut], band_outputs[cut:]],
+                band_outputs,
             )
             return MatVecSolution(
-                y=y,
+                y=y_padded[: self._n].copy(),
                 w=self._w,
                 overlapped=True,
-                transforms=[self._top.transform, self._bottom.transform],
+                transforms=transforms,
                 run=run,
                 model=self._model,
             )
+        top_rows = self._partition.first_rows
+        top_b = b[:top_rows] if b is not None else None
+        bottom_b = b[top_rows:] if b is not None else None
         problems = [
             self._top.build_problem(matrix[:top_rows, :], x, top_b),
             self._bottom.build_problem(matrix[top_rows:, :], x, bottom_b),
@@ -457,7 +510,7 @@ class OverlappedMatVecPlan:
             y=y,
             w=self._w,
             overlapped=True,
-            transforms=[self._top.transform, self._bottom.transform],
+            transforms=transforms,
             run=run,
             model=self._model,
         )

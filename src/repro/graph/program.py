@@ -124,8 +124,10 @@ class ProgramSegment:
         ``outputs``/``solutions``/``latencies`` are the whole program's
         per-stage slots; this segment reads upstream outputs from them
         and writes only its own stages' entries.  Paired stages execute
-        together through the plan's overlapped contraflow path (values
-        identical to sequential execution).
+        together through the plan's
+        :meth:`~repro.api.plan.ExecutionPlan.execute_group`, reported as
+        one overlapped contraflow run (values identical to sequential
+        execution).
         """
         partner: Dict[int, int] = {}
         for first, second in self.pairs:
@@ -167,9 +169,11 @@ class ProgramSegment:
                     )
                 )
                 with span:
-                    first, second = stage.plan.execute_pair(
-                        _matvec_triple(operands),
-                        _matvec_triple(partner_operands),
+                    first, second = stage.plan.execute_group(
+                        [
+                            _matvec_triple(operands),
+                            _matvec_triple(partner_operands),
+                        ]
                     )
                 elapsed = time.perf_counter() - start
                 counters.bump("fused_matvec_pairs")

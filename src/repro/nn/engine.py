@@ -122,7 +122,7 @@ class DensePlan:
                 band_outputs, y_padded = sweep.int_sweep(
                     matrix, x_shifted, None
                 )
-                run = build_linear_run(self._w, [sweep], [band_outputs])
+                run = build_linear_run(sweep.run_geometry(1), [band_outputs])
                 y = y_padded[: self._n].copy()
             else:
                 legacy = self._inner.execute(

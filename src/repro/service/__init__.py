@@ -23,8 +23,8 @@ Pieces, front to back:
   lane* carrying mid-pipeline graph segments between shards.
 * :class:`~repro.service.batcher.AdmissionBatcher` — collects a short
   admission window and groups it by plan key, so same-plan requests flush
-  together through ``Solver.solve_batch`` (matvec pairs ride the
-  overlapped contraflow path automatically).
+  together through ``Solver.solve_batch`` (a matvec group computes as one
+  stacked sweep; its pairs report the overlapped contraflow schedule).
 * :class:`~repro.service.workers.ShardWorker` — one thread + one private
   :class:`~repro.api.solver.Solver` per shard; a plan compiles once per
   service and stays hot on its home shard.

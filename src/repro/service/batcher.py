@@ -6,8 +6,9 @@ short *admission window* of requests (bounded by ``max_batch_size`` and
 ``max_batch_delay``) and groups it by plan key.  Every group shares one
 compiled :class:`~repro.api.plan.ExecutionPlan`, so a group flush through
 ``Solver.solve_batch`` costs at most one plan compile regardless of group
-size — and for the plain matvec kind, ``solve_batch`` additionally pairs
-group members onto the array's idle contraflow cycles automatically.
+size — and for the plain matvec kind, ``solve_batch`` computes the whole
+group as one stacked sweep, reporting its members in pairs on the array's
+idle contraflow cycles (the paper's overlap, as array-cycle accounting).
 
 The batcher is pure policy: it owns no thread and mutates nothing but the
 queue it drains, which keeps the windowing/grouping rules independently

@@ -12,7 +12,7 @@ queue, the telemetry lock, and the (now lock-guarded) plan cache.
 A worker's loop is: collect an admission window via the
 :class:`~repro.service.batcher.AdmissionBatcher`, split it into plan-keyed
 groups, and flush each group — multi-request matvec groups through
-``Solver.solve_batch`` (riding the overlapped contraflow pairing), every
+``Solver.solve_batch`` (one stacked sweep per matvec group), every
 other group member individually through ``Solver.solve``.  Whole-pipeline
 jobs (requests carrying a :class:`~repro.service.request.GraphJob`)
 compile and execute through a shard-local

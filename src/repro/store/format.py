@@ -51,7 +51,9 @@ MAGIC = b"RPROPLAN"
 #: version (newer *or* older) — a version skew is a recompile, never a
 #: best-effort parse of bytes written by different code.  Version 2:
 #: the linear sweep skeleton holds geometry only (no gather tensors).
-FORMAT_VERSION = 2
+#: Version 3: mat-vec plans memoize feedback digests per schedule (never
+#: pickled) and the split-overlapped plan holds a whole-matrix sweep.
+FORMAT_VERSION = 3
 
 _VERSION_STRUCT = struct.Struct(">I")
 _CHECKSUM_SIZE = 16

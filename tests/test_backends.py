@@ -24,6 +24,7 @@ from repro.backends import (
     register_backend,
     resolve_backend,
 )
+from repro.backends import kernels
 from repro.backends.kernels import (
     NUMBA_AVAILABLE,
     NUMBA_DISABLE_ENV,
@@ -32,6 +33,7 @@ from repro.backends.kernels import (
 from repro.backends.vectorized import LinearSweepPlan, build_linear_run
 from repro.core.plans import CachedMatVec, MatVecPlan
 from repro.errors import BackendError
+from repro.instrumentation import counters
 
 
 def solver_for(w: int, backend: str, **overrides) -> Solver:
@@ -119,8 +121,24 @@ class TestBackendRegistry:
         assert plan.executor.backend == "vectorized"
         solver.solve("matvec", rng.normal(size=(512, 512)), rng.normal(size=512))
         # A warm plan's sweep skeleton is geometry only: no O(N_pad M_pad)
-        # index tensor and no memoized feedback events get pickled.
+        # index tensor and no memoized run geometry get pickled.
         assert len(pickle.dumps(plan.executor.sweep_plan)) < 4096
+        solver.solve_batch(
+            "matvec",
+            [(rng.normal(size=(512, 512)), rng.normal(size=512)) for _ in range(3)],
+        )
+        assert len(pickle.dumps(plan.executor.sweep_plan)) < 4096
+        # The split-overlapped plan's memos (split run geometry, feedback
+        # digest) are not pickled either: solving leaves its pickle as is.
+        split = solver.plan("matvec", shape=(64, 64), overlapped=True)
+        assert split.executor.backend == "vectorized"
+        cold = len(pickle.dumps(split.executor))
+        solver.solve(
+            "matvec", rng.normal(size=(64, 64)), rng.normal(size=64),
+            options=ExecutionOptions(overlapped=True),
+        )
+        assert len(pickle.dumps(split.executor.sweep_plan)) < 4096
+        assert len(pickle.dumps(split.executor)) == cold
         traced = solver.plan("matvec", shape=(6, 6), record_trace=True)
         assert traced.executor.backend == "simulate"
 
@@ -133,6 +151,83 @@ class TestBackendRegistry:
             options=ExecutionOptions(record_trace=True),
         )
         assert solution.raw.trace is not None
+
+
+def assert_runs_match(sim_run, run):
+    assert len(run.y_per_problem) == len(sim_run.y_per_problem)
+    for outputs, sim_outputs in zip(run.y_per_problem, sim_run.y_per_problem):
+        assert np.array_equal(outputs, sim_outputs)
+    assert np.array_equal(run.y, sim_run.y)
+    assert run.feedback_events == sim_run.feedback_events
+
+
+def _batch(rng, shapes, with_b=(False,)):
+    return [
+        (rng.normal(size=(n, m)), rng.normal(size=m))
+        + ((rng.normal(size=n),) if with_b[i % len(with_b)] else ())
+        for i, (n, m) in enumerate(shapes)
+    ]
+
+
+def _signed_zero_batch(rng):
+    batch = _batch(rng, [(7, 5)] * 3, with_b=(True,))
+    a, x, b = batch[1]
+    a[0, :] = -0.0
+    x[2] = -0.0
+    b[:] = -0.0
+    return batch
+
+
+#: Batches for the paired-batch grid: k in {1, 2, 3, 5, 16}, shapes that
+#: are mostly not multiples of w (plus 1x1), with and without b,
+#: interleaved plans and signed zeros.
+BATCH_RECIPES = {
+    "k1": lambda rng: _batch(rng, [(7, 5)]),
+    "k2": lambda rng: _batch(rng, [(9, 9)] * 2),
+    "k3_mixed_b": lambda rng: _batch(rng, [(7, 5)] * 3, with_b=(True, False)),
+    "k5": lambda rng: _batch(rng, [(10, 3)] * 5, with_b=(True,)),
+    "k16": lambda rng: _batch(rng, [(5, 7)] * 16, with_b=(False, True)),
+    "interleaved": lambda rng: _batch(rng, [(5, 7), (3, 4)] * 2, with_b=(True, False, False)),
+    "one_by_one": lambda rng: _batch(rng, [(1, 1)] * 3, with_b=(True, False)),
+    "signed_zero": _signed_zero_batch,
+}
+
+
+def assert_batches_match(w: int, batch) -> None:
+    """solve_batch on both backends: every request bit for bit, same accounting."""
+    results = {}
+    for backend in ("simulate", "vectorized"):
+        solver = solver_for(w, backend)
+        before = counters.snapshot()
+        results[backend] = solver.solve_batch("matvec", batch)
+        assert counters.delta(before).plan_executions == len(batch)
+        shapes = {entry[0].shape for entry in batch}
+        stats = solver.cache_stats
+        assert (stats.misses, stats.hits) == (len(shapes), len(batch) - len(shapes))
+    seen = set()
+    for entry, simulated, solution in zip(batch, *results.values()):
+        # Consecutive same-plan requests pair up; an odd last one runs plain.
+        group = [other for other in batch if other[0].shape == entry[0].shape]
+        position = next(i for i, other in enumerate(group) if other is entry)
+        paired = position < len(group) - len(group) % 2
+        assert solution.stats.get("paired") is (True if paired else None)
+        assert solution.stats == simulated.stats
+        assert solution.from_cache is simulated.from_cache
+        assert solution.from_cache is (entry[0].shape in seen)
+        seen.add(entry[0].shape)
+        assert np.array_equal(solution.values, simulated.values)
+        assert np.array_equal(
+            np.signbit(solution.values), np.signbit(simulated.values)
+        )
+        assert_runs_match(simulated.raw.run, solution.raw.run)
+        assert solution.measured_steps == simulated.measured_steps
+        assert solution.measured_utilization == simulated.measured_utilization
+        assert solution.feedback == simulated.feedback
+        if paired:
+            assert solution.predicted_steps is None
+            assert solution.predicted_utilization is None
+        else:
+            assert solution.predicted_steps == simulated.predicted_steps
 
 
 class TestMatVecEquivalence:
@@ -151,8 +246,12 @@ class TestMatVecEquivalence:
         assert np.array_equal(vectorized.values, simulated.values)
         assert_metrics_match(simulated, vectorized)
 
-    @pytest.mark.parametrize("w", [2, 3, 4])
-    @pytest.mark.parametrize("n", [8, 11])
+    # n = 10, 12 and 20 at w = 4 have an odd number of block rows.
+    @pytest.mark.parametrize(
+        "n,w",
+        [(8, 2), (8, 3), (8, 4), (11, 2), (11, 3), (11, 4),
+         (10, 4), (12, 4), (20, 4)],
+    )
     def test_overlapped_matches_simulator(self, w, n, rng):
         a = rng.normal(size=(n, n))
         x = rng.normal(size=n)
@@ -160,17 +259,23 @@ class TestMatVecEquivalence:
         simulated, vectorized = both("matvec", w, (a, x, b), overlapped=True)
         assert np.array_equal(vectorized.values, simulated.values)
         assert_metrics_match(simulated, vectorized)
+        assert_runs_match(simulated.raw.run, vectorized.raw.run)
 
-    def test_paired_batch_matches_simulator(self, rng):
+    @pytest.mark.parametrize("w", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("recipe", sorted(BATCH_RECIPES))
+    def test_paired_batch_matches_simulator(self, w, recipe):
+        batch = BATCH_RECIPES[recipe](np.random.default_rng(w))
+        assert_batches_match(w, batch)
+
+    def test_paired_batch_spanning_chunks_matches_simulator(self):
+        """A 5-request 256x256 group sweeps as several stacked chunks."""
+        rng = np.random.default_rng(256)
+        assert kernels.chunk_problems(256, 256) < 5
         batch = [
-            (rng.normal(size=(9, 9)), rng.normal(size=9)) for _ in range(4)
+            (rng.normal(size=(256, 256)), rng.normal(size=256), rng.normal(size=256))
+            for _ in range(5)
         ]
-        simulated = solver_for(3, "simulate").solve_batch("matvec", batch)
-        solutions = solver_for(3, "vectorized").solve_batch("matvec", batch)
-        for sim_solution, solution in zip(simulated, solutions):
-            assert sim_solution.stats.get("paired") and solution.stats.get("paired")
-            assert np.array_equal(solution.values, sim_solution.values)
-            assert solution.measured_steps == sim_solution.measured_steps
+        assert_batches_match(8, batch)
 
 
 class TestMatMulEquivalence:
@@ -442,7 +547,7 @@ class TestLinearSweepKernels:
         a = rng.standard_normal((7, 5))
         x = rng.standard_normal(5)
         plan = sweep_plan(3, 7, 5)
-        run = build_linear_run(3, [plan], [plan.sweep(a, x, None)[0]])
+        run = build_linear_run(plan.run_geometry(1), [plan.sweep(a, x, None)[0]])
         sim_run = MatVecPlan(7, 5, 3, backend="simulate").execute(a, x).run
         assert run.total_cycles == sim_run.total_cycles
         assert run.report == sim_run.report
@@ -454,10 +559,35 @@ class TestLinearSweepKernels:
         rng = np.random.default_rng(9)
         a = rng.standard_normal((7, 5))
         x = rng.standard_normal(5)
-        plan.feedback_events(0)  # populate the memo; it is not pickled
+        plan.run_geometry(2)  # populate the memo; it is not pickled
         clone = pickle.loads(pickle.dumps(plan))
+        assert len(pickle.dumps(clone)) == len(pickle.dumps(sweep_plan(3, 7, 5)))
         assert np.array_equal(clone.sweep(a, x, None)[1], plan.sweep(a, x, None)[1])
-        assert clone.feedback_events(0) == plan.feedback_events(0)
+        assert clone.run_geometry(2) == plan.run_geometry(2)
+
+    @pytest.mark.parametrize("w", [1, 3, 4])
+    @pytest.mark.parametrize("chunk", [1, 2, None])
+    def test_sweep_stack_rows_match_single_sweeps(self, w, chunk, monkeypatch):
+        """Each stacked row is its own sweep, however the stack is chunked."""
+        n, m = 9, 7
+        if chunk is not None:
+            monkeypatch.setattr(
+                kernels, "CHUNK_BYTES", chunk * (-(-n // w) * w) * (-(-m // w) * w + 1) * 8
+            )
+            assert kernels.chunk_problems(-(-n // w) * w, -(-m // w) * w) == chunk
+        rng = np.random.default_rng(w)
+        operands = [
+            (rng.standard_normal((n, m)), rng.standard_normal(m),
+             rng.standard_normal(n) if p % 2 else None)
+            for p in range(5)
+        ]
+        plan = sweep_plan(w, n, m)
+        bands, y = plan.sweep_stack(operands)
+        assert bands.shape == (5, plan.band_rows)
+        for row, operand in enumerate(operands):
+            single_bands, single_y = plan.sweep(*operand)
+            assert np.array_equal(bands[row], single_bands)
+            assert np.array_equal(y[row], single_y)
 
 
 class TestNumbaGating:
@@ -480,17 +610,46 @@ class TestNumbaGating:
         )
 
     @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-    def test_numba_body_matches_numpy_body(self, monkeypatch):
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_numba_body_matches_numpy_body(self, k, monkeypatch):
         """With Numba importable, both bodies must agree bit for bit."""
-        plan = sweep_plan(4, 17, 13)
-        rng = np.random.default_rng(13)
-        a = rng.standard_normal((17, 13))
-        x = rng.standard_normal(13)
-        b = rng.standard_normal(17)
+        operands, stack = _kernel_stack(k)
         monkeypatch.setenv(NUMBA_DISABLE_ENV, "1")
-        numpy_bands, numpy_y = plan.sweep(a, x, b)
+        numpy_bands, numpy_y = kernels.float_linear_sweep(*stack)
         monkeypatch.setenv(NUMBA_DISABLE_ENV, "")
         assert numba_enabled()
-        numba_bands, numba_y = plan.sweep(a, x, b)
+        numba_bands, numba_y = kernels.float_linear_sweep(*stack)
         assert np.array_equal(numba_y, numpy_y)
         assert np.array_equal(numba_bands, numpy_bands)
+        bands, y = sweep_plan(4, 17, 13).sweep_stack(operands)
+        assert np.array_equal(bands, numpy_bands)
+        assert np.array_equal(y, numpy_y)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_loop_body_matches_numpy_body(self, k, monkeypatch):
+        """The Numba body's scalar loops, run as plain Python, agree too."""
+        _operands, stack = _kernel_stack(k)
+        monkeypatch.setenv(NUMBA_DISABLE_ENV, "1")
+        numpy_bands, numpy_y = kernels.float_linear_sweep(*stack)
+        monkeypatch.setattr(kernels, "numba_enabled", lambda: True)
+        monkeypatch.setattr(kernels, "_numba_sweep", lambda: kernels._sweep_loops)
+        loop_bands, loop_y = kernels.float_linear_sweep(*stack)
+        assert np.array_equal(loop_y, numpy_y)
+        assert np.array_equal(loop_bands, numpy_bands)
+
+
+def _kernel_stack(k: int):
+    """``k`` 17x13 operand sets and their padded w=4 kernel stack."""
+    rng = np.random.default_rng(13 + k)
+    operands = [
+        (rng.standard_normal((17, 13)), rng.standard_normal(13), rng.standard_normal(17))
+        for _ in range(k)
+    ]
+    a_pad = np.zeros((k, 20, 16))
+    x_pad = np.zeros((k, 16))
+    b_pad = np.zeros((k, 20))
+    for p, (a, x, b) in enumerate(operands):
+        a_pad[p, :17, :13] = a
+        x_pad[p, :13] = x
+        b_pad[p, :17] = b
+    return operands, (a_pad, x_pad, b_pad, 4, 5, 4)
